@@ -29,6 +29,7 @@ from .silt import (
     LadderConfig,
     SiltEstimate,
     brownian_plane_expectation,
+    centered_ladder,
     heat_kernel,
     silt_centered,
     silt_expectation,
@@ -63,7 +64,6 @@ from .edwards import (
     make_tanh,
     orthonormal_shift_basis,
     random_cylinder,
-    weighted_functional,
 )
 from .mala import ChainState, MalaResult, batch_means_stderr, load_checkpoint, run_mala, save_checkpoint
 from .config import ConfigError, RunConfig, config_hash, dump_config, load_config, parse_config
@@ -102,6 +102,7 @@ __all__ = [
     "LadderConfig",
     "SiltEstimate",
     "brownian_plane_expectation",
+    "centered_ladder",
     "heat_kernel",
     "silt_centered",
     "silt_expectation",
@@ -132,7 +133,6 @@ __all__ = [
     "make_tanh",
     "orthonormal_shift_basis",
     "random_cylinder",
-    "weighted_functional",
     "ChainState",
     "MalaResult",
     "batch_means_stderr",

@@ -1,13 +1,13 @@
-"""Command-line front end: orchestration, persistence, and the selftest.
+"""Command-line front end: orchestration and persistence.
 
 Every run resolves a RunConfig (file plus flag overrides), writes its
 outputs under <outdir>/<subcommand>/, copies the config next to them, and
 finishes with manifest.json carrying a sha256 for every output file, so a
 run can be diffed or reproduced by checksum alone.
 
-Exit codes: 0 success, 1 config error, 2 numeric failure, 3 selftest
-failure. The output directory resolves, in order: EDWARDSIM_OUTDIR
-environment variable, --out flag, config outdir.
+Exit codes: 0 success, 1 config error, 2 numeric failure. The output
+directory resolves, in order: EDWARDSIM_OUTDIR environment variable, --out
+flag, config outdir.
 """
 
 from __future__ import annotations
@@ -24,49 +24,22 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cameron_martin import builtin_shift, gaussian_rn_density
+from .cameron_martin import builtin_shift
 from .config import ConfigError, RunConfig, config_hash, dump_config, load_config
-from .edwards import (
-    dirichlet_form,
-    edwards_ensemble,
-    orthonormal_shift_basis,
-    random_cylinder,
-)
-from .fbm import GridCovariance, cov_h, sample_fbm, sample_fbm_batch
-from .mala import _Target, batch_means_stderr, load_checkpoint, run_mala, save_checkpoint
-from .moments import (
-    continuity_scan,
-    density_process_batch,
-    gaussian_moment_integral,
-    holder_verify,
-    sigma_matrix,
-)
-from .params import ModelParams, make_grid
-from .pathio import (
-    read_path_binary,
-    read_path_csv,
-    read_shift_csv,
-    write_path_binary,
-    write_path_csv,
-    write_shift_csv,
-)
+from .edwards import edwards_ensemble
+from .fbm import GridCovariance, sample_fbm, sample_fbm_batch
+from .mala import batch_means_stderr, load_checkpoint, run_mala, save_checkpoint
+from .moments import continuity_scan, holder_verify
+from .params import ModelParams
+from .pathio import read_shift_csv, write_path_binary, write_path_csv
 from .rng import stream
-from .silt import (
-    LadderConfig,
-    brownian_plane_expectation,
-    heat_kernel,
-    silt_expectation,
-    silt_expectation_grid,
-    silt_limit,
-    silt_raw_batch,
-)
+from .silt import LadderConfig, centered_ladder
 
 OUTDIR_ENV = "EDWARDSIM_OUTDIR"
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
-EXIT_SELFTEST = 3
 
 
 def _sha256(path: Path) -> str:
@@ -121,9 +94,7 @@ def _cmd_silt(cfg: RunConfig, args, outdir: Path) -> list[Path]:
     ladder = LadderConfig(eps0=cfg.eps0, levels=cfg.levels)
     eps = ladder.epsilons
     values = sample_fbm_batch(params, cfg.paths, cov=cov, threads=cfg.threads)
-    raw = silt_raw_batch(values, cov.grid, eps, threads=cfg.threads)
-    expect = np.array([silt_expectation_grid(params, cov.grid, e) for e in eps])
-    centered = raw - expect[None, :]
+    raw, expect, centered = centered_ladder(values, params, cov.grid, eps, threads=cfg.threads)
 
     m, k = raw.shape
     rows = np.zeros((m * k, 5))
@@ -320,236 +291,6 @@ def _cmd_quantize_run(cfg: RunConfig, args, outdir: Path) -> list[Path]:
     return [ttable, ckpt, summary]
 
 
-# ---------------------------------------------------------------- selftest #
-
-
-def _st_params() -> None:
-    p = ModelParams(H=0.25, d=4, N=16)
-    assert p.critical, "H=0.25, d=4 must sit on the critical line"
-    assert not ModelParams(H=0.3, d=2, N=16).critical
-    g = make_grid(p)
-    assert g.n == 16 and abs(g.spacing - 1.0 / 15.0) < 1e-15
-    try:
-        ModelParams(H=1.5)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("H outside (0,1) must be rejected")
-
-
-def _st_fbm() -> None:
-    assert abs(cov_h(0.5, 0.3, 0.7) - 0.3) < 1e-15, "H=1/2 covariance must be min(s,t)"
-    p = ModelParams(N=48, seed=3)
-    cov = GridCovariance(p)
-    assert cov.factor_residual() < 1e-10
-    a = sample_fbm_batch(p, 5, cov=cov)
-    b = sample_fbm_batch(p, 5, cov=cov)
-    assert np.array_equal(a, b), "resampling must be bit-identical"
-    c = sample_fbm_batch(p, 3, cov=cov, stream_offset=2)
-    assert np.array_equal(a[2:], c), "replica streams must be chunk-independent"
-
-
-def _st_fbm_backends() -> None:
-    p = ModelParams(H=0.7, d=1, N=33, seed=11)
-    cov = GridCovariance(p)
-    m = 512
-    vals = sample_fbm_batch(p, m, cov=cov, method="davies-harte")
-    var_end = float(np.var(vals[:, -1, 0]))
-    rel = abs(var_end - 1.0)
-    assert rel < 0.3, f"circulant endpoint variance off by {rel:.2f} (m={m})"
-
-
-def _st_cameron_martin() -> None:
-    p = ModelParams(N=48, seed=5)
-    cov = GridCovariance(p)
-    shift = builtin_shift("covcol:7", p, cov.grid, cov=cov)
-    w = shift.w[:, 0]
-    e7 = np.zeros(47)
-    e7[6] = 1.0
-    assert np.allclose(w, e7, atol=1e-9), "covariance-column shift must have unit weights"
-    path = sample_fbm(p, cov=cov)
-    assert gaussian_rn_density(shift, 0.0, path) == 1.0
-    u, v = 0.4, -0.7
-    lhs = gaussian_rn_density(shift, u + v, path)
-    from .cameron_martin import ShiftedPath
-
-    moved = ShiftedPath(base=path, shift=shift, u=-u)
-    rhs = gaussian_rn_density(shift, u, path) * gaussian_rn_density(shift, v, moved)
-    assert abs(lhs - rhs) <= 1e-10 * abs(lhs), "shift densities must compose"
-
-
-def _st_silt() -> None:
-    assert abs(heat_kernel(1.0, np.zeros(2)) - 1.0 / (2.0 * np.pi)) < 1e-15
-    p = ModelParams(H=0.5, d=2, T=1.0, N=48, seed=7)
-    closed = brownian_plane_expectation(1.0, 1.0)
-    assert abs(closed - 0.0614806571) < 1e-9
-    assert abs(silt_expectation(p, 1.0) - closed) < 1e-8
-    cov = GridCovariance(p)
-    m, eps = 128, 0.05
-    values = sample_fbm_batch(p, m, cov=cov)
-    raw = silt_raw_batch(values, cov.grid, [eps])[:, 0]
-    centered = raw - silt_expectation_grid(p, cov.grid, eps)
-    se = centered.std(ddof=1) / np.sqrt(m)
-    assert abs(centered.mean()) < 5 * se, "centered SILT must have mean zero"
-
-
-def _st_ladder() -> None:
-    p = ModelParams(N=48, seed=9)
-    cov = GridCovariance(p)
-    path = sample_fbm(p, cov=cov)
-    ladder = silt_limit(path, LadderConfig(eps0=0.08, levels=4))
-    eps = ladder.epsilons
-    assert np.allclose(eps[1:] / eps[:-1], 0.5), "ladder must halve eps"
-    assert ladder.diffs.size == 3
-    floor = 0.1 * cov.grid.spacing ** (2 * p.H)
-    assert ladder.under_resolved == bool(eps[-1] < floor)
-
-
-def _st_density() -> None:
-    p = ModelParams(N=48, seed=13, g=0.1)
-    cov = GridCovariance(p)
-    shift = builtin_shift("linear", p, cov.grid, cov=cov)
-    values = sample_fbm_batch(p, 8, cov=cov)
-    at0 = density_process_batch(shift, 0.0, values, cov.grid, 0.05, g=p.g)
-    assert np.all(at0 == 1.0), "density at u = 0 must be exactly 1"
-    free = density_process_batch(shift, 0.6, values, cov.grid, 0.05, g=0.0)
-    path = sample_fbm(p, cov=cov, rng=stream(p.seed, 0))
-    ref = np.array(
-        [
-            gaussian_rn_density(shift, 0.6, type(path)(grid=path.grid, values=v, cov=cov))
-            for v in values
-        ]
-    )
-    assert np.allclose(free, ref, rtol=1e-13, atol=0.0), (
-        "g = 0 density must reduce to the Gaussian one"
-    )
-
-
-def _st_moments() -> None:
-    sig = sigma_matrix(0.5, 0.0, 1.0, 2.0, 3.0)
-    assert sig.lam == 1.0 and sig.rho == 1.0 and sig.mu == 0.0
-    assert sig.is_psd()
-    res = gaussian_moment_integral(sig, 0.0, 0.5, 1)
-    assert res.closed_form == 4.0
-    assert abs(res.numeric - 4.0) < 1e-6, f"identity moment integral got {res.numeric}"
-
-
-def _st_edwards() -> None:
-    p = ModelParams(N=48, g=0.0, seed=17)
-    cov = GridCovariance(p)
-    ens = edwards_ensemble(p, 64, LadderConfig(eps0=0.08, levels=4), cov=cov)
-    assert np.all(ens.weights == 1.0), "g = 0 weights must be exactly 1"
-    assert ens.ess == 64.0, "g = 0 ess must equal the replica count"
-
-
-def _st_dirichlet() -> None:
-    p = ModelParams(N=48, g=0.05, seed=19)
-    cov = GridCovariance(p)
-    ens = edwards_ensemble(p, 64, LadderConfig(eps0=0.08, levels=4), cov=cov)
-    basis = orthonormal_shift_basis(p, cov=cov, n_trunc=4)
-    rng = stream(99, 0)
-    f = random_cylinder(rng, cov.grid, p.d)
-    h = random_cylinder(rng, cov.grid, p.d)
-    fh = dirichlet_form(f, h, ens, basis)
-    hf = dirichlet_form(h, f, ens, basis)
-    assert fh == hf, "the form must be symmetric to the bit"
-    ff = dirichlet_form(f, f, ens, basis)
-    assert ff[0] >= 0.0, "the form must be nonnegative on the diagonal"
-
-
-def _st_mala() -> None:
-    p = ModelParams(N=32, g=0.2, seed=23)
-    cov = GridCovariance(p)
-    target = _Target(p, cov, eps=0.05)
-    rng = stream(23, 1)
-    x = np.zeros((p.N, p.d))
-    x[1:] = cov.chol @ rng.standard_normal((p.N - 1, p.d))
-    raw0, grad = target.raw_and_grad(x)
-    step = 1e-6
-    for _ in range(3):
-        i = int(rng.integers(1, p.N))
-        c = int(rng.integers(0, p.d))
-        xp = x.copy()
-        xp[i, c] += step
-        xm = x.copy()
-        xm[i, c] -= step
-        fd = (target.raw_and_grad(xp)[0] - target.raw_and_grad(xm)[0]) / (2 * step)
-        denom = max(abs(fd), 1e-12)
-        assert abs(fd - grad[i - 1, c]) / denom < 1e-4, "SILT gradient must match FD"
-    res = run_mala(p, eps=0.05, n_iter=600, burn_in=200, cov=cov, step=0.5, thin=5)
-    assert 0.0 < res.acceptance_rate <= 1.0
-    assert res.traces["lc"].size == (600 - 200) // 5
-
-
-def _st_config() -> None:
-    from .config import parse_config
-
-    cfg = parse_config("[model]\n")
-    assert (cfg.H, cfg.d, cfg.T, cfg.g, cfg.N) == (0.5, 2, 1.0, 0.1, 256)
-    try:
-        parse_config("[model]\npahts = 3\n")
-    except ConfigError as exc:
-        assert "pahts" in str(exc), "error must name the unknown key"
-    else:
-        raise AssertionError("unknown key must be rejected")
-    text = dump_config(cfg)
-    assert parse_config(text) == cfg, "canonical dump must round-trip"
-
-
-def _st_io(tmpdir: Path) -> None:
-    p = ModelParams(N=32, seed=29)
-    cov = GridCovariance(p)
-    path = sample_fbm(p, cov=cov)
-    csv = tmpdir / "p.csv"
-    write_path_csv(csv, path)
-    back = read_path_csv(csv, p)
-    assert np.array_equal(back.values, path.values), "CSV must round-trip exactly"
-    bin_ = tmpdir / "p.fbmp"
-    write_path_binary(bin_, path)
-    back2 = read_path_binary(bin_, p)
-    assert np.array_equal(back2.values, path.values), "binary must round-trip exactly"
-    shift = builtin_shift("sine", p, cov.grid, cov=cov)
-    scsv = tmpdir / "s.csv"
-    write_shift_csv(scsv, shift)
-    sback = read_shift_csv(scsv, p, cov=cov)
-    assert np.max(np.abs(sback.k - shift.k)) < 1e-14
-
-
-def _cmd_selftest(cfg: RunConfig, args, outdir: Path) -> int:
-    import tempfile
-
-    suites = [
-        ("params", _st_params),
-        ("fbm", _st_fbm),
-        ("fbm-backends", _st_fbm_backends),
-        ("cameron-martin", _st_cameron_martin),
-        ("silt", _st_silt),
-        ("silt-ladder", _st_ladder),
-        ("density", _st_density),
-        ("moments", _st_moments),
-        ("edwards", _st_edwards),
-        ("dirichlet", _st_dirichlet),
-        ("mala", _st_mala),
-        ("config", _st_config),
-    ]
-    failures = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        suites.append(("io", lambda: _st_io(Path(tmp))))
-        for name, fn in suites:
-            try:
-                fn()
-            except Exception as exc:  # noqa: BLE001 - report and keep going
-                failures += 1
-                print(f"FAIL {name}: {exc}")
-            else:
-                print(f"ok   {name}")
-    if failures:
-        print(f"selftest: {failures} of {len(suites)} suites failed")
-        return EXIT_SELFTEST
-    print(f"selftest: all {len(suites)} suites passed")
-    return EXIT_OK
-
-
 # ------------------------------------------------------------------ driver #
 
 _DISPATCH = {
@@ -594,17 +335,16 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    def common(p: argparse.ArgumentParser, model: bool = True) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", type=str, default=None, help="INI config file")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None)
-        if model:
-            p.add_argument("--n", type=int, default=None, help="grid points N")
-            p.add_argument("--hurst", type=float, default=None, help="Hurst index H")
-            p.add_argument("--dim", type=int, default=None, help="spatial dimension d")
-            p.add_argument("--horizon", type=float, default=None, help="time horizon T")
-            p.add_argument("--coupling", type=float, default=None, help="coupling g")
+        p.add_argument("--n", type=int, default=None, help="grid points N")
+        p.add_argument("--hurst", type=float, default=None, help="Hurst index H")
+        p.add_argument("--dim", type=int, default=None, help="spatial dimension d")
+        p.add_argument("--horizon", type=float, default=None, help="time horizon T")
+        p.add_argument("--coupling", type=float, default=None, help="coupling g")
 
     p = sub.add_parser("sample-fbm", help="draw paths and write CSV + packed binary")
     common(p)
@@ -644,9 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", dest="burn_in", type=int, default=None)
     p.add_argument("--thin", type=int, default=None)
     p.add_argument("--resume", type=str, default=None, help="checkpoint to continue")
-
-    p = sub.add_parser("selftest", help="run the built-in invariant suites")
-    common(p, model=False)
 
     return top
 
@@ -699,9 +436,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"edwardsim: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    if args.cmd == "selftest":
-        return _cmd_selftest(cfg, args, Path("."))
 
     try:
         outdir = _prepare_outdir(cfg, args, args.cmd)

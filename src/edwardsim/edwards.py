@@ -26,13 +26,12 @@ import numpy as np
 from .cameron_martin import CMShift
 from .fbm import GridCovariance, sample_fbm_batch
 from .params import ModelParams, TimeGrid
-from .silt import LadderConfig, silt_expectation_grid, silt_raw_batch
+from .silt import LadderConfig, centered_ladder
 
 __all__ = [
     "WeightedEnsemble",
     "edwards_ensemble",
     "coordinate_functional",
-    "weighted_functional",
     "SmoothFn",
     "make_tanh",
     "make_linear",
@@ -120,9 +119,7 @@ def edwards_ensemble(
         params, m, cov=cov, stream_offset=stream_offset, threads=threads, method=method
     )
     eps = ladder.epsilons
-    raw = silt_raw_batch(values, cov.grid, eps, threads=threads)
-    expect = np.array([silt_expectation_grid(params, cov.grid, e) for e in eps])
-    lc_ladder = raw - expect[None, :]
+    _, _, lc_ladder = centered_ladder(values, params, cov.grid, eps, threads=threads)
     lc = lc_ladder[:, -1]
     log_w = -params.g * lc
     with np.errstate(over="ignore"):
@@ -159,11 +156,6 @@ def coordinate_functional(grid: TimeGrid, d: int, time_index: int, component: in
     w = np.zeros((grid.n, d))
     w[time_index, component] = 1.0
     return w
-
-
-def weighted_functional(weights: np.ndarray) -> np.ndarray:
-    """Linear functional x -> sum_ic weights[i, c] * x(t_i)[c]."""
-    return np.asarray(weights, dtype=float)
 
 
 @dataclass(eq=False)

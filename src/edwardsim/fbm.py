@@ -245,17 +245,24 @@ def sample_fbm_batch(
     else:
         raise ValueError(f"unknown sampling method {method!r}")
 
-    bounds = _chunk_bounds(m, threads)
-    if threads <= 1 or len(bounds) <= 1:
-        for lo, hi in bounds:
-            fill(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
+    _map_chunks(_chunk_bounds(m), fill, threads)
     return out
 
 
-def _chunk_bounds(m: int, threads: int, target: int = 256) -> list[tuple[int, int]]:
+def _chunk_bounds(m: int, target: int = 256) -> list[tuple[int, int]]:
     """Fixed chunking of m items, independent of the thread count."""
     size = max(1, min(target, m))
     return [(lo, min(lo + size, m)) for lo in range(0, m, size)]
+
+
+def _map_chunks(bounds: list[tuple[int, int]], fn, threads: int) -> None:
+    """Call fn(lo, hi) on every chunk, on a pool of `threads` workers when
+    there is more than one chunk. Each chunk writes its own rows, so the
+    result does not depend on the thread count."""
+    if threads <= 1 or len(bounds) <= 1:
+        for lo, hi in bounds:
+            fn(lo, hi)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for future in [pool.submit(fn, lo, hi) for lo, hi in bounds]:
+            future.result()

@@ -409,13 +409,28 @@ def density_process_batch(
     threads: int = 1,
 ) -> np.ndarray:
     """Vectorized density process over a batch of paths (M, N, d)."""
+    base_raw = silt_raw_batch(values, grid, [eps], threads=threads)[:, 0]
+    return _density_from_base(shift, u, values, grid, eps, base_raw, g, mode, threads)
+
+
+def _density_from_base(
+    shift: CMShift,
+    u: float,
+    values: np.ndarray,
+    grid: TimeGrid,
+    eps: float,
+    base_raw: np.ndarray,
+    g: float,
+    mode: str,
+    threads: int,
+) -> np.ndarray:
+    """density_process_batch given the unshifted raw SILT of `values`."""
     if mode == "exact":
         coef, direction = g, -1.0
     elif mode == "paper":
         coef, direction = u, +1.0
     else:
         raise ValueError(f"unknown density mode {mode!r}")
-    base_raw = silt_raw_batch(values, grid, [eps], threads=threads)[:, 0]
     shifted_raw = silt_raw_batch(
         values + (direction * u) * shift.k, grid, [eps], threads=threads
     )[:, 0]
@@ -425,7 +440,7 @@ def density_process_batch(
     log_weight = -coef * delta + log_rn
     if np.any(log_weight > _LOG_OVERFLOW):
         raise OverflowError("density_process overflows the double range")
-    return np.exp(-coef * delta) * np.exp(log_rn)
+    return np.exp(log_weight)
 
 
 @dataclass(eq=False)
@@ -473,10 +488,11 @@ def continuity_scan(
     u_grid = np.atleast_1d(np.asarray(u_grid, dtype=float))
     if u_grid.size < 3:
         raise ValueError("u grid needs at least 3 points")
+    base_raw = silt_raw_batch(values, grid, [eps], threads=threads)[:, 0]
     dens = np.empty((values.shape[0], u_grid.size))
     for i, u in enumerate(u_grid):
-        dens[:, i] = density_process_batch(
-            shift, float(u), values, grid, eps, g=g, mode=mode, threads=threads
+        dens[:, i] = _density_from_base(
+            shift, float(u), values, grid, eps, base_raw, g, mode, threads
         )
     jumps = np.abs(np.diff(dens, axis=1)) / np.maximum(dens[:, 1:], dens[:, :-1])
     return ContinuityScan(u_grid=u_grid, densities=dens, max_jump=jumps.max(axis=1))

@@ -31,13 +31,13 @@ flags non-convergence instead of asserting a rate.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import scipy.integrate
 
+from .fbm import _chunk_bounds, _map_chunks
 from .params import ModelParams, TimeGrid
 
 __all__ = [
@@ -49,13 +49,15 @@ __all__ = [
     "brownian_plane_expectation",
     "SiltEstimate",
     "silt_centered",
+    "centered_ladder",
     "LadderConfig",
     "EpsLadder",
     "silt_limit",
 ]
 
-# pair block size for the deterministic block-ordered reduction
-_BLOCK = 16384
+# pair elements per path chunk of silt_raw_batch; each worker holds a few
+# arrays of this size at a time
+_CHUNK_ELEMENTS = 1_000_000
 # relative floor below which eps no longer resolves the grid: eps >= 0.1 * spacing^{2H}
 EPS_FLOOR_FACTOR = 0.1
 
@@ -93,59 +95,32 @@ def _pair_cache(n_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i_idx, j_idx, c
 
 
-@lru_cache(maxsize=16)
-def _lag_weights(n_points: int) -> np.ndarray:
-    """Total trapezoid weight per lag m = j - i (index 0 unused)."""
-    i_idx, j_idx, c = _pair_cache(n_points)
-    return np.bincount(j_idx - i_idx, weights=c, minlength=n_points)
+def _pair_differences(values: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Pair differences x_j - x_i over the _pair_cache pairs, one (M, P)
+    array per component, and their squared norm (M, P), for values (M, N, d).
+
+    The one pair kernel: the batch SILT and the Langevin target both build
+    on it. One 1-d gather per component is faster than gathering (N, d)
+    rows. The squared norm accumulates component by component in order.
+    """
+    i_idx, j_idx, _ = _pair_cache(values.shape[1])
+    dx = []
+    for k in range(values.shape[2]):
+        vk = values[:, :, k]
+        dx.append(np.take(vk, j_idx, axis=1) - np.take(vk, i_idx, axis=1))
+    sq = dx[0] * dx[0]
+    for k in range(1, len(dx)):
+        sq += dx[k] * dx[k]
+    return dx, sq
 
 
-def _pair_kernel_sum(sq: np.ndarray, c: np.ndarray, eps: float, d: int) -> float:
-    """sum_pairs c * p_eps over flattened pairs, reduced in fixed blocks."""
-    norm = (2.0 * np.pi * eps) ** (-0.5 * d)
-    total = 0.0
-    parts = []
-    for lo in range(0, sq.size, _BLOCK):
-        hi = min(lo + _BLOCK, sq.size)
-        parts.append(np.dot(c[lo:hi], np.exp(sq[lo:hi] / (-2.0 * eps))))
-    for p in parts:
-        total += p
-    return norm * total
-
-
-def silt_raw(path, eps: float, *, threads: int = 1) -> float:
+def silt_raw(path, eps: float) -> float:
     """Triangular trapezoid value of L_eps(T) for one path.
 
-    `path` is anything with .values (N, d) and .grid. The pair sum is
-    reduced block by block in a fixed order, so the result is independent
-    of the thread count.
+    `path` is anything with .values (N, d) and .grid; this is silt_raw_batch
+    on a batch of one.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    values = path.values
-    grid = path.grid
-    i_idx, j_idx, c = _pair_cache(grid.n)
-    diff = values[j_idx] - values[i_idx]
-    sq = np.einsum("pd,pd->p", diff, diff)
-    d = values.shape[1]
-    if threads <= 1:
-        total = _pair_kernel_sum(sq, c, eps, d)
-    else:
-        norm = (2.0 * np.pi * eps) ** (-0.5 * d)
-        bounds = [(lo, min(lo + _BLOCK, sq.size)) for lo in range(0, sq.size, _BLOCK)]
-        parts = [0.0] * len(bounds)
-
-        def work(b: int) -> None:
-            lo, hi = bounds[b]
-            parts[b] = np.dot(c[lo:hi], np.exp(sq[lo:hi] / (-2.0 * eps)))
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(len(bounds))))
-        total = 0.0
-        for p in parts:
-            total += p
-        total *= norm
-    return float(grid.spacing**2 * total)
+    return float(silt_raw_batch(path.values[None], path.grid, [eps])[0, 0])
 
 
 def silt_raw_batch(
@@ -157,9 +132,11 @@ def silt_raw_batch(
 ) -> np.ndarray:
     """Raw SILT for a batch: values (M, N, d) -> (M, n_eps).
 
-    The squared pair distances are formed once per path chunk and reused
-    across the eps ladder. Chunk boundaries are fixed by memory size, so
-    results do not depend on the thread count.
+    The squared pair distances are formed once per chunk of paths and
+    reused across the eps ladder; a chunk's weighted pair sums are one
+    matrix-vector product per eps. Chunks hold a fixed number of pair
+    elements, so the chunking, and with it every result, does not depend on
+    the thread count.
     """
     epsilons = np.atleast_1d(np.asarray(epsilons, dtype=float))
     if np.any(epsilons <= 0.0):
@@ -167,26 +144,17 @@ def silt_raw_batch(
     m, n, d = values.shape
     if n != grid.n:
         raise ValueError("values and grid disagree on N")
-    i_idx, j_idx, c = _pair_cache(n)
+    _, _, c = _pair_cache(n)
     out = np.empty((m, epsilons.size))
-    chunk = max(1, int(4_000_000 // max(1, i_idx.size)))
-    bounds = [(lo, min(lo + chunk, m)) for lo in range(0, m, chunk)]
     scale = grid.spacing**2
 
-    def work(b: tuple[int, int]) -> None:
-        lo, hi = b
-        diff = values[lo:hi, j_idx, :] - values[lo:hi, i_idx, :]
-        sq = np.einsum("mpd,mpd->mp", diff, diff)
+    def work(lo: int, hi: int) -> None:
+        _, sq = _pair_differences(values[lo:hi])
         for k, eps in enumerate(epsilons):
             norm = (2.0 * np.pi * eps) ** (-0.5 * d)
-            out[lo:hi, k] = scale * norm * (np.exp(sq / (-2.0 * eps)) @ c)
+            out[lo:hi, k] = scale * norm * (np.exp(sq * (-0.5 / eps)) @ c)
 
-    if threads <= 1 or len(bounds) <= 1:
-        for b in bounds:
-            work(b)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, bounds))
+    _map_chunks(_chunk_bounds(m, max(1, _CHUNK_ELEMENTS // c.size)), work, threads)
     return out
 
 
@@ -218,10 +186,14 @@ def brownian_plane_expectation(T: float, eps: float) -> float:
 
 def silt_expectation_grid(params: ModelParams, grid: TimeGrid, eps: float) -> float:
     """Exact mean of the discretized estimator: the triangular trapezoid
-    weights applied to the analytic pair expectation, grouped by lag."""
+    weights applied to the analytic pair expectation, grouped by lag.
+
+    The weights of lag m sum to N-1-m for 1 <= m <= N-2 (two end pairs at
+    weight 1/2); the single pair at lag N-1 has weight 1/4."""
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    w = _lag_weights(grid.n)
+    w = grid.n - 1.0 - np.arange(grid.n)
+    w[-1] = 0.25
     lags = np.arange(grid.n) * grid.spacing
     pref = (2.0 * np.pi) ** (-0.5 * params.d)
     q = pref * (eps + lags ** (2.0 * params.H)) ** (-0.5 * params.d)
@@ -243,9 +215,9 @@ class SiltEstimate:
     centered: float
 
 
-def silt_centered(path, eps: float, *, threads: int = 1) -> SiltEstimate:
+def silt_centered(path, eps: float) -> SiltEstimate:
     """Centered SILT of a path (shifted paths keep the unshifted centering)."""
-    raw = silt_raw(path, eps, threads=threads)
+    raw = silt_raw(path, eps)
     expectation = silt_expectation_grid(path.params, path.grid, eps)
     return SiltEstimate(
         epsilon=float(eps),
@@ -297,15 +269,26 @@ class EpsLadder:
     under_resolved: bool
 
 
-def silt_limit(path, config: LadderConfig, *, threads: int = 1) -> EpsLadder:
+def centered_ladder(
+    values: np.ndarray,
+    params: ModelParams,
+    grid: TimeGrid,
+    epsilons,
+    *,
+    threads: int = 1,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw SILT (M, n_eps) of a batch, the grid expectation per eps, and
+    raw minus expectation, exactly."""
+    raw = silt_raw_batch(values, grid, epsilons, threads=threads)
+    expectation = np.array([silt_expectation_grid(params, grid, e) for e in epsilons])
+    return raw, expectation, raw - expectation
+
+
+def silt_limit(path, config: LadderConfig) -> EpsLadder:
     """Evaluate the centered SILT down the eps ladder for one path."""
     eps = config.epsilons
-    raw = silt_raw_batch(path.values[None], path.grid, eps, threads=threads)[0]
-    expectation = np.array(
-        [silt_expectation_grid(path.params, path.grid, e) for e in eps]
-    )
-    centered = raw - expectation
-    return _assemble_ladder(path.params, path.grid, eps, raw, expectation, centered)
+    raw, expectation, centered = centered_ladder(path.values[None], path.params, path.grid, eps)
+    return _assemble_ladder(path.params, path.grid, eps, raw[0], expectation, centered[0])
 
 
 def _assemble_ladder(

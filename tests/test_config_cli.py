@@ -328,11 +328,3 @@ class TestCliFailures:
             "--shift", "mystery", "--out", str(outdir / "x"),
         ]
         assert _run(argv) == 1
-
-
-class TestCliSelftest:
-    def test_selftest_passes(self, capsys):
-        assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "selftest: all 13 suites passed" in out
-        assert "FAIL" not in out

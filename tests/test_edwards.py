@@ -18,7 +18,6 @@ from edwardsim import (
     make_tanh,
     orthonormal_shift_basis,
     random_cylinder,
-    weighted_functional,
 )
 
 
@@ -107,10 +106,6 @@ class TestFunctionals:
         assert w.sum() == 1.0
         with pytest.raises(ValueError, match="index"):
             coordinate_functional(small_cov.grid, 2, 64, 0)
-
-    def test_weighted_functional(self):
-        w = weighted_functional([[0.0, 0.0], [1.0, 2.0]])
-        assert w.dtype == float and w.shape == (2, 2)
 
     def test_smooth_fn_gradients_match_finite_differences(self, rng):
         fns = [

@@ -218,12 +218,14 @@ class TestSamplerStatistics:
         assert abs(prod.mean()) <= 5.0 * se
 
     def test_davies_harte_matches_cholesky_law(self):
-        # same covariance structure from both backends, checked at 3 pairs
-        p = ModelParams(H=0.3, N=33, d=1, seed=2024)
-        cov = GridCovariance(p)
-        x = sample_fbm_batch(p, self.M, method="davies-harte", grid=cov.grid)
-        t = cov.grid.points
-        for i, j in [(32, 32), (8, 24), (16, 32)]:
-            prod = x[:, i, 0] * x[:, j, 0]
-            se = prod.std(ddof=1) / np.sqrt(self.M)
-            assert abs(prod.mean() - cov_h(0.3, t[i], t[j])) <= 5.0 * se
+        # same covariance structure from both backends, checked at 3 pairs,
+        # for anti- and positively correlated increments
+        for H, seed in ((0.3, 2024), (0.7, 11)):
+            p = ModelParams(H=H, N=33, d=1, seed=seed)
+            cov = GridCovariance(p)
+            x = sample_fbm_batch(p, self.M, method="davies-harte", grid=cov.grid)
+            t = cov.grid.points
+            for i, j in [(32, 32), (8, 24), (16, 32)]:
+                prod = x[:, i, 0] * x[:, j, 0]
+                se = prod.std(ddof=1) / np.sqrt(self.M)
+                assert abs(prod.mean() - cov_h(H, t[i], t[j])) <= 5.0 * se

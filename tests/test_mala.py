@@ -56,6 +56,22 @@ class TestTarget:
             ) / (2.0 * delta)
             assert abs(analytic - fd) / max(abs(analytic), 1e-10) < 1e-5
 
+    def test_silt_gradient_per_coordinate(self, rng):
+        # single coordinates, where a wrong small entry cannot hide in a
+        # directional sum
+        p = ModelParams(H=0.5, d=2, N=32, g=0.2, seed=23)
+        cov = GridCovariance(p)
+        target = _Target(p, cov, 0.05)
+        xr = _random_free_coords(cov, rng)
+        _, grad = target.raw_and_grad(_full(xr))
+        delta = 1e-6
+        for i in range(0, p.N - 1, 3):
+            for c in range(p.d):
+                e = np.zeros_like(xr)
+                e[i, c] = delta
+                fd = (target.raw(_full(xr + e)) - target.raw(_full(xr - e))) / (2.0 * delta)
+                assert abs(fd - grad[i, c]) / max(abs(fd), 1e-12) < 1e-4
+
     def test_log_target_gradient_against_finite_differences(
         self, chain_setup, rng
     ):

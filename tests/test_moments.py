@@ -16,10 +16,12 @@ from edwardsim import (
     gaussian_rn_density,
     holder_verify,
     l2_difference_silt,
+    log_gaussian_rn_density,
     make_shift_from_target,
     sample_fbm,
     sample_fbm_batch,
     sigma_matrix,
+    silt_raw_batch,
 )
 from edwardsim.silt import LadderConfig
 
@@ -266,6 +268,23 @@ class TestDensityProcess:
         with pytest.raises(OverflowError, match="density_process"):
             density_process(sh, 50.0, big, 0.05)
 
+    def test_large_factors_that_cancel_stay_finite(self):
+        # exp(-g delta) alone overflows, the Gaussian factor alone is tiny,
+        # and their product, exp(log_weight), is a finite double
+        p = ModelParams(N=48, seed=13)
+        cov = GridCovariance(p)
+        vals = sample_fbm_batch(p, 1, cov=cov)
+        sh = builtin_shift("linear", p, cov=cov)
+        u, eps = 12.0, 0.05
+        raw = silt_raw_batch(np.concatenate([vals, vals - u * sh.k]), cov.grid, [eps])[:, 0]
+        g = -720.0 / (raw[1] - raw[0])
+        a = density_process_batch(sh, u, vals, cov.grid, eps, g=g)[0]
+        path = SimpleNamespace(grid=cov.grid, values=vals[0])
+        log_weight = 720.0 + log_gaussian_rn_density(sh, u, path)
+        assert 600.0 < log_weight < 700.0
+        assert np.isfinite(a)
+        assert abs(a / np.exp(log_weight) - 1.0) < 1e-10
+
     def test_normalized_under_reweighted_ensemble(self, small_params, small_cov):
         # E_nu[a(u, .)] = 1 is an algebraic identity; 5 SE at MC resolution
         ens = edwards_ensemble(
@@ -294,6 +313,19 @@ class TestContinuityScan:
         assert stats.shape == (6, 4)
         assert stats[0, 3] == 0.0
         assert np.all(stats[:, 1] <= stats[:, 2])
+
+    def test_densities_match_density_process_batch(self, small_params, small_cov):
+        # the scan computes the unshifted SILT once; the values must not move
+        vals = sample_fbm_batch(small_params, 12, cov=small_cov)
+        sh = builtin_shift("sine", small_params, cov=small_cov)
+        u_grid = np.linspace(0.0, 1.5, 5)
+        for mode in ("exact", "paper"):
+            scan = continuity_scan(sh, u_grid, vals, small_cov.grid, 0.05, g=0.1, mode=mode)
+            each = [
+                density_process_batch(sh, u, vals, small_cov.grid, 0.05, g=0.1, mode=mode)
+                for u in u_grid
+            ]
+            assert np.array_equal(scan.densities, np.stack(each, axis=1))
 
     def test_needs_three_points(self, small_params, small_cov):
         vals = sample_fbm_batch(small_params, 4, cov=small_cov)

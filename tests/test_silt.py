@@ -11,6 +11,7 @@ from edwardsim import (
     TimeGrid,
     brownian_plane_expectation,
     builtin_shift,
+    centered_ladder,
     heat_kernel,
     make_grid,
     sample_fbm,
@@ -91,13 +92,6 @@ class TestSiltRaw:
         path = sample_fbm(small_params, cov=small_cov)
         assert silt_raw(path, 0.01) > 0.0
 
-    def test_thread_count_invariance(self):
-        p = ModelParams(N=256, d=2, seed=9)
-        path = sample_fbm(p, cov=GridCovariance(p))
-        a = silt_raw(path, 0.01, threads=1)
-        b = silt_raw(path, 0.01, threads=3)
-        assert a == b
-
     def test_rejects_bad_eps(self, small_params, small_cov):
         path = sample_fbm(small_params, cov=small_cov)
         with pytest.raises(ValueError, match="positive"):
@@ -131,6 +125,23 @@ class TestSiltBatch:
         a = silt_raw_batch(vals, cov.grid, [0.05], threads=1)
         b = silt_raw_batch(vals, cov.grid, [0.05], threads=3)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_direct_pair_sum(self, d):
+        p = ModelParams(H=1.0 / d if d > 1 else 0.5, d=d, N=24, seed=4)
+        cov = GridCovariance(p)
+        vals = sample_fbm_batch(p, 3, cov=cov)
+        eps = [0.2, 0.01]
+        out = silt_raw_batch(vals, cov.grid, eps)
+        h = cov.grid.spacing
+        for m in range(3):
+            for k, e in enumerate(eps):
+                ref = 0.0
+                for j in range(1, 24):
+                    for i in range(j):
+                        w = (0.5 if j == 23 else 1.0) * (0.5 if i == 0 else 1.0)
+                        ref += w * heat_kernel(e, vals[m, j] - vals[m, i])
+                assert abs(out[m, k] / (h * h * ref) - 1.0) < 1e-12
 
     def test_validation(self, small_cov):
         vals = np.zeros((3, 64, 2))
@@ -196,6 +207,18 @@ class TestGridExpectation:
             se = centered.std(ddof=1) / np.sqrt(m)
             assert abs(centered.mean()) <= 5.0 * se
 
+    @pytest.mark.parametrize("n", [2, 3, 64, 257])
+    def test_lag_weights_match_pair_weights(self, n):
+        # the closed-form lag weights are the pair weights summed per lag
+        p = ModelParams(H=0.3, d=2, N=n)
+        grid = make_grid(p)
+        i_idx, j_idx, c = _pair_cache(n)
+        w = np.bincount(j_idx - i_idx, weights=c, minlength=n)
+        lags = np.arange(n) * grid.spacing
+        q = (2.0 * np.pi) ** (-0.5 * p.d) * (0.02 + lags ** (2.0 * p.H)) ** (-0.5 * p.d)
+        expect = grid.spacing**2 * np.dot(w[1:], q[1:])
+        assert silt_expectation_grid(p, grid, 0.02) == expect
+
     def test_deterministic_distance_to_continuum(self):
         # the diagonal-exclusion deficit is O(spacing * T * (2 pi eps)^{-d/2})
         p = ModelParams(N=256)
@@ -238,6 +261,16 @@ class TestCentered:
         assert est.expectation == silt_expectation_grid(
             small_params, small_cov.grid, 0.02
         )
+
+    def test_centered_ladder_is_exact(self, small_params, small_cov):
+        vals = sample_fbm_batch(small_params, 5, cov=small_cov)
+        eps = LadderConfig(eps0=0.1, levels=4).epsilons
+        raw, expect, centered = centered_ladder(vals, small_params, small_cov.grid, eps)
+        assert np.array_equal(raw, silt_raw_batch(vals, small_cov.grid, eps))
+        assert np.array_equal(
+            expect, [silt_expectation_grid(small_params, small_cov.grid, e) for e in eps]
+        )
+        assert np.array_equal(centered, raw - expect[None, :])
 
     def test_shifted_path_keeps_unshifted_centering(self, small_params, small_cov):
         path = sample_fbm(small_params, cov=small_cov)
