@@ -28,7 +28,7 @@ from scipy.linalg import cho_solve
 from .fbm import GridCovariance
 from .params import ModelParams, TimeGrid
 from .rng import stream
-from .silt import _pair_cache, _pair_differences, silt_expectation_grid
+from .silt import _pair_cache, silt_expectation_grid
 
 __all__ = [
     "MalaResult",
@@ -43,6 +43,26 @@ MALA_STREAM_INDEX = 2**48
 ACCEPT_TARGET = 0.574
 ACCEPT_WARN_LOW = 0.1
 ACCEPT_WARN_HIGH = 0.9
+
+
+def _pair_differences(values: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Pair differences x_j - x_i over the _pair_cache pairs, one (M, P)
+    array per component, and their squared norm (M, P), for values (M, N, d).
+
+    The chain's pair kernel: its gradient needs every pair's differences at
+    once for the bincount. One 1-d gather per component is faster than
+    gathering (N, d) rows. The squared norm accumulates component by
+    component in order.
+    """
+    i_idx, j_idx, _ = _pair_cache(values.shape[1])
+    dx = []
+    for k in range(values.shape[2]):
+        vk = values[:, :, k]
+        dx.append(np.take(vk, j_idx, axis=1) - np.take(vk, i_idx, axis=1))
+    sq = dx[0] * dx[0]
+    for k in range(1, len(dx)):
+        sq += dx[k] * dx[k]
+    return dx, sq
 
 
 class _Target:
@@ -61,7 +81,7 @@ class _Target:
 
     def _weighted_kernel(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Weighted pair kernel q = c * exp(-|dx|^2 / 2 eps) of one path and
-        its per-component pair differences, from the shared SILT kernel.
+        its per-component pair differences.
 
         The squared norms die here, before the gradient allocates: kept
         alive, they cost about 9% per iteration under glibc's default

@@ -36,6 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.integrate
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fbm import _chunk_bounds, _map_chunks
 from .params import ModelParams, TimeGrid
@@ -55,9 +56,9 @@ __all__ = [
     "silt_limit",
 ]
 
-# pair elements per path chunk of silt_raw_batch; each worker holds a few
-# arrays of this size at a time
-_CHUNK_ELEMENTS = 1_000_000
+# pair elements per lag block of silt_raw_batch (paths x rows x N); a
+# worker's two block buffers of this size stay in cache
+_BLOCK_ELEMENTS = 65_536
 # relative floor below which eps no longer resolves the grid: eps >= 0.1 * spacing^{2H}
 EPS_FLOOR_FACTOR = 0.1
 
@@ -95,25 +96,6 @@ def _pair_cache(n_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i_idx, j_idx, c
 
 
-def _pair_differences(values: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Pair differences x_j - x_i over the _pair_cache pairs, one (M, P)
-    array per component, and their squared norm (M, P), for values (M, N, d).
-
-    The one pair kernel: the batch SILT and the Langevin target both build
-    on it. One 1-d gather per component is faster than gathering (N, d)
-    rows. The squared norm accumulates component by component in order.
-    """
-    i_idx, j_idx, _ = _pair_cache(values.shape[1])
-    dx = []
-    for k in range(values.shape[2]):
-        vk = values[:, :, k]
-        dx.append(np.take(vk, j_idx, axis=1) - np.take(vk, i_idx, axis=1))
-    sq = dx[0] * dx[0]
-    for k in range(1, len(dx)):
-        sq += dx[k] * dx[k]
-    return dx, sq
-
-
 def silt_raw(path, eps: float) -> float:
     """Triangular trapezoid value of L_eps(T) for one path.
 
@@ -132,11 +114,20 @@ def silt_raw_batch(
 ) -> np.ndarray:
     """Raw SILT for a batch: values (M, N, d) -> (M, n_eps).
 
-    The squared pair distances are formed once per chunk of paths and
-    reused across the eps ladder; a chunk's weighted pair sums are one
-    matrix-vector product per eps. Chunks hold a fixed number of pair
-    elements, so the chunking, and with it every result, does not depend on
-    the thread count.
+    Paths go in fixed chunks of 256, so the chunking, and with it every
+    result, does not depend on the thread count. Within a chunk the pairs
+    are visited by lag, in blocks laid out (paths, B, N) with the long
+    i-axis innermost and read through a strided view of the path. Row m of
+    a block is circular: x[(i + m) mod N] - x[i] for every i, which are the
+    pairs of lag m and of lag N - m, so rows 1..(N-1)/2 hold every pair
+    once with no padding; an even N adds the half row of lag N/2 at the
+    end. B keeps a block near _BLOCK_ELEMENTS, which fits in cache.
+    Every pair enters at weight 1; after the lag loop the trapezoid ends are
+    corrected once: half of the i = 0 and of the j = N-1 pairs come off and
+    a quarter of the corner pair goes back. When -1/(2 eps) doubles from one
+    eps to the next, as down a dyadic ladder, that rung is the previous one
+    squared in place, so a ladder costs one exp per pair. Memory is the
+    chunk written twice in a row and two block buffers, O(M N d) in all.
     """
     epsilons = np.atleast_1d(np.asarray(epsilons, dtype=float))
     if np.any(epsilons <= 0.0):
@@ -144,18 +135,77 @@ def silt_raw_batch(
     m, n, d = values.shape
     if n != grid.n:
         raise ValueError("values and grid disagree on N")
-    _, _, c = _pair_cache(n)
+    rates = -0.5 / epsilons
+    squares = np.concatenate([[False], rates[1:] == 2.0 * rates[:-1]])
+    factor = grid.spacing**2 * (2.0 * np.pi * epsilons) ** (-0.5 * d)
     out = np.empty((m, epsilons.size))
-    scale = grid.spacing**2
 
     def work(lo: int, hi: int) -> None:
-        _, sq = _pair_differences(values[lo:hi])
-        for k, eps in enumerate(epsilons):
-            norm = (2.0 * np.pi * eps) ** (-0.5 * d)
-            out[lo:hi, k] = scale * norm * (np.exp(sq * (-0.5 / eps)) @ c)
+        out[lo:hi] = _lag_block_sums(values[lo:hi], rates, squares) * factor
 
-    _map_chunks(_chunk_bounds(m, max(1, _CHUNK_ELEMENTS // c.size)), work, threads)
+    _map_chunks(_chunk_bounds(m), work, threads)
     return out
+
+
+def _lag_block_sums(x: np.ndarray, rates: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """Trapezoid sums of exp(rate * |x_j - x_i|^2) over i < j, (P, n_rates),
+    for paths x (P, N, d)."""
+    p, n, d = x.shape
+    acc = np.zeros((p, rates.size))
+    xt = np.moveaxis(x, 2, 0)
+    # rows[k, :, m, i] = x[(i + m) mod N, k]: circular row m holds the pairs
+    # of lag m and of lag N - m; padding the rows with +inf instead would
+    # send exp(-inf) down numpy's slow path
+    rows = sliding_window_view(np.concatenate([xt, xt], axis=2), n, axis=2)
+    last = (n - 1) // 2
+    b = max(1, _BLOCK_ELEMENTS // (p * n))
+    buf = np.empty((2, p * b * n))
+    for m0 in range(1, last + 1, b):
+        r = min(b, last + 1 - m0)
+        dx, sq = buf[0, : p * r * n].reshape(p, r, n), buf[1, : p * r * n].reshape(p, r, n)
+        _squared_norm(rows[:, :, m0 : m0 + r], rows[:, :, :1], dx, sq)
+        for k, e in enumerate(_rungs(sq.reshape(p, -1), dx.reshape(p, -1), rates, squares)):
+            acc[:, k] += e.sum(axis=1)
+    # the lag N/2 of an even N at weight 1, then the trapezoid ends at -1/2:
+    # pairs (0, j) and (i, N-1); the corner (0, N-1) is in both, once at
+    # -1/4, which leaves it at 1/4
+    h = n // 2 if n % 2 == 0 else 0
+    ahead = np.concatenate(
+        [x[:, n - h :], x[:, 1:], np.broadcast_to(x[:, -1:], (p, n - 1, d))], axis=1
+    )
+    behind = np.concatenate(
+        [x[:, :h], np.broadcast_to(x[:, :1], (p, n - 1, d)), x[:, :-1]], axis=1
+    )
+    dx, sq = np.empty((2, p, ahead.shape[1]))
+    _squared_norm(np.moveaxis(ahead, 2, 0), np.moveaxis(behind, 2, 0), dx, sq)
+    weights = np.concatenate([np.ones(h), np.full(2 * n - 2, -0.5)])
+    weights[h + n - 1] = -0.25
+    for k, e in enumerate(_rungs(sq, dx, rates, squares)):
+        acc[:, k] += e @ weights
+    return acc
+
+
+def _squared_norm(ahead, behind, dx: np.ndarray, sq: np.ndarray) -> None:
+    """sq = sum over components of (ahead[k] - behind[k])^2, in component
+    order; dx is scratch of sq's shape."""
+    for k, (a, b) in enumerate(zip(ahead, behind)):
+        np.subtract(a, b, out=dx)
+        if k == 0:
+            np.multiply(dx, dx, out=sq)
+        else:
+            np.multiply(dx, dx, out=dx)
+            np.add(sq, dx, out=sq)
+
+
+def _rungs(sq: np.ndarray, e: np.ndarray, rates: np.ndarray, squares: np.ndarray):
+    """Yield exp(rate * sq) for each rate, computed in the buffer e; a rung
+    flagged in `squares` is the previous rung squared in place."""
+    for rate, square in zip(rates, squares):
+        if square:
+            np.multiply(e, e, out=e)
+        else:
+            np.exp(np.multiply(sq, rate, out=e), out=e)
+        yield e
 
 
 def silt_expectation(params: ModelParams, eps: float) -> float:

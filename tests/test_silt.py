@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -119,29 +120,88 @@ class TestSiltBatch:
                 assert abs(out[i, k] / silt_raw(path, eps[k]) - 1.0) < 1e-12
 
     def test_thread_count_invariance(self):
+        # 700 paths leave a partial last chunk of the fixed 256-path chunking
         p = ModelParams(N=128, d=2, seed=5)
         cov = GridCovariance(p)
         vals = sample_fbm_batch(p, 700, cov=cov)
-        a = silt_raw_batch(vals, cov.grid, [0.05], threads=1)
-        b = silt_raw_batch(vals, cov.grid, [0.05], threads=3)
-        assert np.array_equal(a, b)
+        eps = LadderConfig(eps0=0.1, levels=4).epsilons
+        a = silt_raw_batch(vals, cov.grid, eps, threads=1)
+        for threads in (2, 3):
+            assert np.array_equal(a, silt_raw_batch(vals, cov.grid, eps, threads=threads))
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_matches_direct_pair_sum(self, d):
-        p = ModelParams(H=1.0 / d if d > 1 else 0.5, d=d, N=24, seed=4)
+    @pytest.mark.parametrize(
+        "d, n, eps",
+        [
+            (1, 24, [0.2, 0.01]),
+            (2, 24, [0.2, 0.01]),
+            (3, 24, [0.2, 0.01]),
+            # N = 2 is the corner pair alone at weight 1/4; N = 3 has two lags
+            (2, 2, [0.1]),
+            (2, 3, [0.1]),
+            # an odd N folds its lags without the half row of lag N/2;
+            # (0.05, 0.02) is no dyadic step, so each rung takes its own exp
+            (2, 25, [0.05, 0.02]),
+        ],
+        ids=["1", "2", "3", "N2", "N3", "N25-non-dyadic"],
+    )
+    def test_matches_direct_pair_sum(self, d, n, eps):
+        p = ModelParams(H=1.0 / d if d > 1 else 0.5, d=d, N=n, seed=4)
         cov = GridCovariance(p)
         vals = sample_fbm_batch(p, 3, cov=cov)
-        eps = [0.2, 0.01]
         out = silt_raw_batch(vals, cov.grid, eps)
         h = cov.grid.spacing
         for m in range(3):
             for k, e in enumerate(eps):
                 ref = 0.0
-                for j in range(1, 24):
+                for j in range(1, n):
                     for i in range(j):
-                        w = (0.5 if j == 23 else 1.0) * (0.5 if i == 0 else 1.0)
+                        w = (0.5 if j == n - 1 else 1.0) * (0.5 if i == 0 else 1.0)
                         ref += w * heat_kernel(e, vals[m, j] - vals[m, i])
                 assert abs(out[m, k] / (h * h * ref) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_dyadic_ladder_matches_single_eps(self, d):
+        # rungs past the first are squares of the previous rung; each must
+        # agree with its own exp
+        p = ModelParams(H=1.0 / d if d > 1 else 0.5, d=d, N=64, seed=6)
+        cov = GridCovariance(p)
+        vals = sample_fbm_batch(p, 5, cov=cov)
+        eps = LadderConfig(eps0=0.1, levels=5).epsilons
+        ladder = silt_raw_batch(vals, cov.grid, eps)
+        for k, e in enumerate(eps):
+            single = silt_raw_batch(vals, cov.grid, [e])[:, 0]
+            assert np.max(np.abs(ladder[:, k] / single - 1.0)) < 1e-13
+
+    @pytest.mark.parametrize("m, n", [(4, 512), (3, 511), (300, 64)])
+    def test_lag_blocks_match_pair_weights(self, m, n):
+        # several lag blocks with a partial last one, and a partial last
+        # path chunk, against the trapezoid pair weights summed directly
+        p = ModelParams(H=0.5, d=2, N=n, seed=11)
+        cov = GridCovariance(p)
+        vals = sample_fbm_batch(p, m, cov=cov)
+        eps = LadderConfig(eps0=0.1, levels=4).epsilons
+        out = silt_raw_batch(vals, cov.grid, eps)
+        i_idx, j_idx, c = _pair_cache(n)
+        sq = np.sum((vals[:, j_idx] - vals[:, i_idx]) ** 2, axis=2)
+        for k, e in enumerate(eps):
+            ref = cov.grid.spacing**2 * (2.0 * np.pi * e) ** -1.0 * (np.exp(-sq / (2.0 * e)) @ c)
+            assert np.max(np.abs(out[:, k] / ref - 1.0)) < 1e-12
+
+    def test_memory_stays_linear_in_paths_and_grid(self):
+        # the O(M N^2) pair temporaries would be hundreds of MB at N = 4096
+        # (Brownian paths by cumulative sums, to skip the O(N^3) factor)
+        grid = make_grid(ModelParams(H=0.5, d=2, N=4096))
+        steps = np.random.default_rng(2).standard_normal((4, 4095, 2)) * np.sqrt(grid.spacing)
+        vals = np.concatenate([np.zeros((4, 1, 2)), np.cumsum(steps, axis=1)], axis=1)
+        eps = LadderConfig(eps0=0.1, levels=4).epsilons
+        tracemalloc.start()
+        try:
+            out = silt_raw_batch(vals, grid, eps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(out)) and np.all(out > 0.0)
+        assert peak < 32 * 2**20
 
     def test_validation(self, small_cov):
         vals = np.zeros((3, 64, 2))
