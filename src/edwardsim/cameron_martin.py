@@ -48,6 +48,8 @@ __all__ = [
 
 # log-density threshold beyond which exp() leaves the double range
 _LOG_OVERFLOW = 700.0
+# Gauss-Legendre points of the kernel_rh quadrature
+_N_QUAD = 64
 
 
 def c_h_norm(H: float) -> float:
@@ -69,12 +71,12 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def kernel_rh(H: float, t: float, s: float, n_quad: int = 64) -> float:
+def kernel_rh(H: float, t: float, s: float) -> float:
     """Square-root kernel R_H(t, s) for H > 1/2; zero for t <= s.
 
     The endpoint singularity (u - s)^{H - 3/2} is removed by substituting
     u = s + tau^{1/(H - 1/2)}, after which the integrand is the smooth
-    function (s + tau^{1/a})^a / a and n_quad-point Gauss-Legendre applies.
+    function (s + tau^{1/a})^a / a and _N_QUAD-point Gauss-Legendre applies.
     """
     c = c_h_norm(H)
     if s <= 0.0:
@@ -83,7 +85,7 @@ def kernel_rh(H: float, t: float, s: float, n_quad: int = 64) -> float:
         return 0.0
     a = H - 0.5
     upper = (t - s) ** a
-    nodes, weights = _gauss_legendre(n_quad)
+    nodes, weights = _gauss_legendre(_N_QUAD)
     tau = 0.5 * upper * (nodes + 1.0)
     integral = 0.5 * upper * np.sum(weights * (s + tau ** (1.0 / a)) ** a) / a
     return float(c * s ** (0.5 - H) * integral)
@@ -164,7 +166,6 @@ def make_shift_from_h(
     h=None,
     *,
     cov: GridCovariance | None = None,
-    n_quad: int = 64,
 ) -> CMShift:
     """Shift from an L^2 control h via k(t) = int_0^t R_H(t, s) h(s) ds.
 
@@ -190,7 +191,7 @@ def make_shift_from_h(
             t = pts[i]
 
             def integrand(s: float) -> float:
-                return kernel_rh(params.H, t, s, n_quad) * np.interp(s, pts, h[:, c])
+                return kernel_rh(params.H, t, s) * np.interp(s, pts, h[:, c])
 
             val, _ = scipy.integrate.quad(
                 integrand, 0.0, t, limit=200, epsabs=1e-10, epsrel=1e-8

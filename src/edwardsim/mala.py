@@ -10,10 +10,20 @@ Sigma itself,
 
     y = x + (s^2 / 2) * Sigma grad log pi(x) + s * chol(Sigma) xi,
 
-which makes the g = 0 chain an exact AR(1) in the whitened coordinates and
-keeps the step size N-independent. The Sigma-weighted drift needs no extra
-solves: Sigma grad log pi = -x - g * Sigma grad L_eps, and the solve
-Sigma^{-1} x is cached per state for the accept ratio.
+which makes the g = 0 chain an exact AR(1) in the whitened coordinates.
+The Sigma-weighted drift needs no extra solves: Sigma grad log pi =
+-x - g * Sigma grad L_eps, and the solve Sigma^{-1} x is cached per state
+for the accept ratio.
+
+L_eps and its gradient come from one dense Gram form on the path centered
+over its nodes, K_ij = exp(-(|x_i|^2 + |x_j|^2 - 2 x_i . x_j) / (2 eps))
+with K_ii = 0, and the trapezoid node weights w = (1/2, 1, ..., 1, 1/2):
+
+    L_eps = (scale / 2) w^T K w,
+    grad_i L_eps = (scale / eps) w_i [(K (w x))_i - (K w)_i x_i],
+
+with scale = spacing^2 (2 pi eps)^{-d/2}: one x x^T, one exp and one
+product of K with [w, w x] per iteration.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from scipy.linalg import cho_solve
 from .fbm import GridCovariance
 from .params import ModelParams, TimeGrid
 from .rng import stream
-from .silt import _pair_cache, silt_expectation_grid
+from .silt import _node_weights, silt_expectation_grid
 
 __all__ = [
     "MalaResult",
@@ -43,26 +53,8 @@ MALA_STREAM_INDEX = 2**48
 ACCEPT_TARGET = 0.574
 ACCEPT_WARN_LOW = 0.1
 ACCEPT_WARN_HIGH = 0.9
-
-
-def _pair_differences(values: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Pair differences x_j - x_i over the _pair_cache pairs, one (M, P)
-    array per component, and their squared norm (M, P), for values (M, N, d).
-
-    The chain's pair kernel: its gradient needs every pair's differences at
-    once for the bincount. One 1-d gather per component is faster than
-    gathering (N, d) rows. The squared norm accumulates component by
-    component in order.
-    """
-    i_idx, j_idx, _ = _pair_cache(values.shape[1])
-    dx = []
-    for k in range(values.shape[2]):
-        vk = values[:, :, k]
-        dx.append(np.take(vk, j_idx, axis=1) - np.take(vk, i_idx, axis=1))
-    sq = dx[0] * dx[0]
-    for k in range(1, len(dx)):
-        sq += dx[k] * dx[k]
-    return dx, sq
+# burn-in iterations per step-size update
+ADAPT_EVERY = 100
 
 
 class _Target:
@@ -75,38 +67,45 @@ class _Target:
         self.cov = cov
         self.eps = float(eps)
         grid = cov.grid
-        self.i_idx, self.j_idx, self.c = _pair_cache(grid.n)
+        self.w = _node_weights(grid.n)
         self.scale = grid.spacing**2 * (2.0 * np.pi * self.eps) ** (-0.5 * params.d)
-        self.n = grid.n
+        # N x N buffers reused by every call: fresh ones cross glibc's default
+        # mmap and trim thresholds and are faulted in again each iteration
+        self._k = np.empty((grid.n, grid.n))
+        self._sums = np.empty((grid.n, grid.n))
 
-    def _weighted_kernel(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Weighted pair kernel q = c * exp(-|dx|^2 / 2 eps) of one path and
-        its per-component pair differences.
+    def _kernel(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Pair kernel K_ij = exp(-|x_i - x_j|^2 / 2 eps) of one path with a
+        zero diagonal, and the path centered over the nodes.
 
-        The squared norms die here, before the gradient allocates: kept
-        alive, they cost about 9% per iteration under glibc's default
-        allocator."""
-        dx, sq = _pair_differences(x[None])
-        return self.c * np.exp(sq[0] * (-0.5 / self.eps)), [v[0] for v in dx]
+        Centering keeps |x_i|^2 + |x_j|^2 - 2 x_i . x_j from cancelling
+        against an offset. The squared norms are added to -2 x_i . x_j in one
+        step, so K is as symmetric as the Gram matrix. The next call
+        overwrites K."""
+        x = x - x.mean(axis=0)
+        sq = np.einsum("ij,ij->i", x, x)
+        k = np.matmul(x, x.T, out=self._k)
+        k *= -2.0
+        k += np.add.outer(sq, sq, out=self._sums)
+        k *= -0.5 / self.eps
+        np.exp(k, out=k)
+        np.fill_diagonal(k, 0.0)
+        return k, x
 
     def raw(self, x: np.ndarray) -> float:
-        """SILT of the full path."""
-        q, _ = self._weighted_kernel(x)
-        return self.scale * float(np.sum(q))
+        """SILT of the full path: (scale / 2) w^T K w."""
+        k, _ = self._kernel(x)
+        return 0.5 * self.scale * float(self.w @ (k @ self.w))
 
     def raw_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """SILT of the full path and its gradient in the free coordinates
-        x[1:]. The pair kernel feeds both."""
-        q, dx = self._weighted_kernel(x)
-        raw = self.scale * float(np.sum(q))
-        qe = q / self.eps
-        grad = np.empty_like(x)
-        for k in range(x.shape[1]):
-            qvk = qe * dx[k]
-            grad[:, k] = np.bincount(
-                self.i_idx, weights=qvk, minlength=self.n
-            ) - np.bincount(self.j_idx, weights=qvk, minlength=self.n)
-        return raw, self.scale * grad[1:]
+        x[1:]; one product of K with [w, w x] feeds both."""
+        k, x = self._kernel(x)
+        w = self.w
+        kb = k @ np.column_stack([w, w[:, None] * x])
+        kw = kb[:, 0]
+        grad = (self.scale / self.eps) * w[:, None] * (kb[:, 1:] - kw[:, None] * x)
+        return 0.5 * self.scale * float(w @ kw), grad[1:]
 
 
 @dataclass(eq=False)
@@ -183,7 +182,6 @@ def run_mala(
     step: float = 0.4,
     thin: int = 20,
     adapt: bool = True,
-    adapt_every: int = 100,
     resume: ChainState | None = None,
     record_index: int | None = None,
 ) -> MalaResult:
@@ -240,8 +238,8 @@ def run_mala(
             block_acc += 1
             if it >= burn_in:
                 accepted += 1
-        if adapt and it < burn_in and (it + 1) % adapt_every == 0:
-            rate = block_acc / adapt_every
+        if adapt and it < burn_in and (it + 1) % ADAPT_EVERY == 0:
+            rate = block_acc / ADAPT_EVERY
             s *= float(np.exp(0.3 * (rate - ACCEPT_TARGET)))
             s = float(np.clip(s, 1e-6, 1e3))
             block_acc = 0

@@ -17,13 +17,13 @@ the shift-family density process with its continuity scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.integrate
 import scipy.special
 
-from .cameron_martin import CMShift
+from .cameron_martin import _LOG_OVERFLOW, CMShift
 from .fbm import GridCovariance, sample_fbm_batch
 from .params import ModelParams, TimeGrid
 from .rng import stream
@@ -42,6 +42,11 @@ __all__ = [
     "ContinuityScan",
     "continuity_scan",
 ]
+
+# stream seed of the d >= 3 Monte Carlo moment integral
+_MC_SEED = 0
+# Holder rate gamma of the L^2 modulus: slopes are compared against 1 + gamma
+HOLDER_GAMMA = 0.5
 
 
 @dataclass(frozen=True)
@@ -174,7 +179,6 @@ def gaussian_moment_integral(
     d: int,
     *,
     mc_samples: int = 1_000_000,
-    mc_seed: int = 0,
 ) -> MomentIntegral:
     """Moment integral int exp(-0.5 (y^T (Sigma kron I_d) y + eps |y|^2))
     (|y1| |y2|)^{2 alpha} dy over R^{2d}, with its closed-form candidate.
@@ -202,7 +206,7 @@ def gaussian_moment_integral(
         numeric = _moment_quad_d2(a, b, r, alpha)
         method = "quad-bessel"
     else:
-        numeric = _moment_mc(a, b, mu, alpha, d, mc_samples, stream(mc_seed, 0))
+        numeric = _moment_mc(a, b, mu, alpha, d, mc_samples, stream(_MC_SEED, 0))
         method = "mc-control-variate"
     return MomentIntegral(numeric=float(numeric), closed_form=closed, method=method)
 
@@ -237,9 +241,7 @@ def l2_difference_silt(
     if values is None:
         if cov is None:
             cov = GridCovariance(params)
-        p = params if seed is None else ModelParams(
-            H=params.H, d=params.d, T=params.T, g=params.g, N=params.N, seed=seed
-        )
+        p = params if seed is None else replace(params, seed=seed)
         values = sample_fbm_batch(p, m, cov=cov, threads=threads)
         grid = cov.grid
     else:
@@ -320,7 +322,6 @@ def holder_verify(
     cov: GridCovariance | None = None,
     seed: int | None = None,
     threads: int = 1,
-    gamma: float = 0.5,
 ) -> HolderReport:
     """Estimate E[(L_eps,c(delta k) - L_eps,c(0))^2] on a delta schedule for
     each eps and fit the log-log slope, sharing one base ensemble across
@@ -331,9 +332,7 @@ def holder_verify(
         raise ValueError("delta schedule must be positive")
     if cov is None:
         cov = GridCovariance(params)
-    p = params if seed is None else ModelParams(
-        H=params.H, d=params.d, T=params.T, g=params.g, N=params.N, seed=seed
-    )
+    p = params if seed is None else replace(params, seed=seed)
     values = sample_fbm_batch(p, m, cov=cov, threads=threads)
     base = silt_raw_batch(values, cov.grid, epsilons, threads=threads)
     est = np.empty((epsilons.size, deltas.size))
@@ -359,14 +358,12 @@ def holder_verify(
         slopes=slopes,
         intercepts=inters,
         slope_stderrs=slope_ses,
-        gamma=float(gamma),
+        gamma=HOLDER_GAMMA,
         m=m,
     )
 
 
 # --------------------------------------------------------- density process #
-
-_LOG_OVERFLOW = 700.0
 
 
 def density_process(

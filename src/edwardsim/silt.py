@@ -32,7 +32,6 @@ flags non-convergence instead of asserting a rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.integrate
@@ -80,20 +79,12 @@ def heat_kernel(eps: float, x):
     return out if out.ndim else float(out)
 
 
-@lru_cache(maxsize=16)
-def _pair_cache(n_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Upper-triangle pair indices (i < j) and trapezoid weights c_ij.
-
-    Outer weight 1/2 at j = N-1, inner weight 1/2 at i = 0; the would-be
-    inner endpoint i = j is excluded entirely.
-    """
-    i_idx, j_idx = np.triu_indices(n_points, k=1)
-    outer = np.ones(n_points)
-    outer[-1] = 0.5
-    inner = np.ones(n_points)
-    inner[0] = 0.5
-    c = outer[j_idx] * inner[i_idx]
-    return i_idx, j_idx, c
+def _node_weights(n_points: int) -> np.ndarray:
+    """Trapezoid node weights (1/2, 1, ..., 1, 1/2): the weight of pair
+    i < j is c_ij = w_i w_j, 1/2 at i = 0 or j = N-1 and 1/4 at the corner."""
+    w = np.ones(n_points)
+    w[[0, -1]] = 0.5
+    return w
 
 
 def silt_raw(path, eps: float) -> float:

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "edwardsim"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,6 +34,49 @@ def unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
 
 
+def private_definitions(source: str) -> dict[str, int]:
+    """Module-level private names (a `_`-prefixed def, class or assignment
+    target, dunders aside) and their lines."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                found[name] = node.lineno
+    return found
+
+
+def names_read(source: str) -> set[str]:
+    """Names a module reads: bare names loaded, attribute names, and names
+    imported from another module."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    return read
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names of any module that no module reads."""
+    read = set().union(*(names_read(s) for s in sources.values()))
+    return sorted(
+        f"{module}: {name} (line {line})"
+        for module, source in sources.items()
+        for name, line in private_definitions(source).items()
+        if name not in read
+    )
+
+
 def test_finds_an_unused_import():
     source = "import os\nfrom dataclasses import dataclass, field\n\n@dataclass\nclass A:\n    x: int = os.sep\n"
     assert unused_imports(source) == ["field (line 2)"]
@@ -45,3 +89,15 @@ def test_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_finds_an_unread_private_name():
+    sources = {
+        "a.py": "_USED = 1\n_DEAD = 2\n\ndef _helper():\n    return _USED\n\nclass _Gone:\n    pass\n",
+        "b.py": "from .a import _helper\n\nx = _helper()\n",
+    }
+    assert unread_private_names(sources) == ["a.py: _DEAD (line 2)", "a.py: _Gone (line 7)"]
+
+
+def test_no_unread_private_names():
+    assert unread_private_names({p.name: p.read_text() for p in SOURCES}) == []

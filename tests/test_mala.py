@@ -14,6 +14,7 @@ from edwardsim import (
     silt_raw,
 )
 from edwardsim.mala import _Target, _full, _make_state
+from pair_reference import pair_silt_and_grad
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +108,37 @@ class TestTarget:
         assert st.raw is None
         assert np.array_equal(st.drift, -xr)
         assert np.array_equal(st.glog, -st.prec)
+
+
+class TestGramKernel:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 32, 255, 256])
+    def test_matches_enumerated_pairs(self, n, d):
+        # a constant offset is where |x_i|^2 + |x_j|^2 - 2 x_i . x_j would
+        # cancel without the centering
+        p = ModelParams(H=0.5, d=d, N=n, g=0.1, seed=n)
+        cov = GridCovariance(p)
+        target = _Target(p, cov, 0.05)
+        x = _full(_random_free_coords(cov, np.random.default_rng(10 * n + d)))
+        for offset in (0.0, 1e3):
+            y = x + offset
+            ref_raw, ref_grad = pair_silt_and_grad(y, cov.grid.spacing, 0.05)
+            raw, grad = target.raw_and_grad(y)
+            assert abs(raw / ref_raw - 1.0) < 1e-12
+            assert abs(target.raw(y) / ref_raw - 1.0) < 1e-12
+            ref_grad = ref_grad[1:]
+            assert np.max(np.abs(grad - ref_grad)) <= 1e-10 * np.max(np.abs(ref_grad))
+
+    @pytest.mark.parametrize("n, d", [(3, 1), (64, 2), (255, 3), (256, 2)])
+    def test_kernel_is_bit_symmetric(self, n, d):
+        p = ModelParams(H=0.5, d=d, N=n, g=0.1, seed=1)
+        cov = GridCovariance(p)
+        target = _Target(p, cov, 0.05)
+        x = _full(_random_free_coords(cov, np.random.default_rng(n)))
+        for offset in (0.0, 1e3):
+            k, _ = target._kernel(x + offset)
+            assert np.array_equal(k, k.T)
+            assert np.all(np.diag(k) == 0.0)
 
 
 class TestRunMala:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -179,8 +180,28 @@ class TestL2Difference:
         )
         assert a == b and sa == sb
 
+    def test_seed_override_is_replaced_params(self, small_params, small_cov):
+        sh = builtin_shift("linear", small_params, cov=small_cov)
+        a = l2_difference_silt(small_params, sh, 0.05, 0.4, 0.0, 32, cov=small_cov, seed=9)
+        b = l2_difference_silt(
+            replace(small_params, seed=9), sh, 0.05, 0.4, 0.0, 32, cov=small_cov
+        )
+        assert a == b
+        assert a != l2_difference_silt(small_params, sh, 0.05, 0.4, 0.0, 32, cov=small_cov)
+
 
 class TestHolderVerify:
+    def test_seed_override_is_replaced_params(self, small_params, small_cov):
+        sh = builtin_shift("sine", small_params, cov=small_cov)
+        args = ([0.1, 0.05], [0.1, 0.2, 0.4], 32)
+        a = holder_verify(small_params, sh, *args, cov=small_cov, seed=9)
+        b = holder_verify(replace(small_params, seed=9), sh, *args, cov=small_cov)
+        for key in ("estimates", "stderrs", "slopes", "intercepts", "slope_stderrs"):
+            assert np.array_equal(getattr(a, key), getattr(b, key))
+        assert not np.array_equal(
+            a.estimates, holder_verify(small_params, sh, *args, cov=small_cov).estimates
+        )
+
     def test_report_structure(self, small_params, small_cov):
         sh = builtin_shift("sine", small_params, cov=small_cov)
         rep = holder_verify(

@@ -24,7 +24,8 @@ from edwardsim import (
     silt_raw,
     silt_raw_batch,
 )
-from edwardsim.silt import _assemble_ladder, _pair_cache
+from edwardsim.silt import _assemble_ladder
+from pair_reference import pair_cache
 
 
 class TestHeatKernel:
@@ -67,7 +68,7 @@ class TestSiltRaw:
         n, eps = 64, 0.37
         grid = make_grid(ModelParams(N=n))
         path = SimpleNamespace(values=np.zeros((n, 2)), grid=grid)
-        _, _, c = _pair_cache(n)
+        _, _, c = pair_cache(n)
         expect = grid.spacing**2 * c.sum() * (2.0 * np.pi * eps) ** -1.0
         assert abs(silt_raw(path, eps) / expect - 1.0) < 1e-12
 
@@ -181,7 +182,7 @@ class TestSiltBatch:
         vals = sample_fbm_batch(p, m, cov=cov)
         eps = LadderConfig(eps0=0.1, levels=4).epsilons
         out = silt_raw_batch(vals, cov.grid, eps)
-        i_idx, j_idx, c = _pair_cache(n)
+        i_idx, j_idx, c = pair_cache(n)
         sq = np.sum((vals[:, j_idx] - vals[:, i_idx]) ** 2, axis=2)
         for k, e in enumerate(eps):
             ref = cov.grid.spacing**2 * (2.0 * np.pi * e) ** -1.0 * (np.exp(-sq / (2.0 * e)) @ c)
@@ -272,7 +273,7 @@ class TestGridExpectation:
         # the closed-form lag weights are the pair weights summed per lag
         p = ModelParams(H=0.3, d=2, N=n)
         grid = make_grid(p)
-        i_idx, j_idx, c = _pair_cache(n)
+        i_idx, j_idx, c = pair_cache(n)
         w = np.bincount(j_idx - i_idx, weights=c, minlength=n)
         lags = np.arange(n) * grid.spacing
         q = (2.0 * np.pi) ** (-0.5 * p.d) * (0.02 + lags ** (2.0 * p.H)) ** (-0.5 * p.d)
