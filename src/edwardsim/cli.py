@@ -27,12 +27,11 @@ from . import __version__
 from .cameron_martin import builtin_shift
 from .config import ConfigError, RunConfig, config_hash, dump_config, load_config
 from .edwards import edwards_ensemble
-from .fbm import GridCovariance, sample_fbm, sample_fbm_batch
+from .fbm import FbmPath, GridCovariance, sample_fbm_batch
 from .mala import batch_means_stderr, load_checkpoint, run_mala, save_checkpoint
 from .moments import continuity_scan, holder_verify
 from .params import ModelParams
 from .pathio import read_shift_csv, write_path_binary, write_path_csv
-from .rng import stream
 from .silt import LadderConfig, centered_ladder
 
 OUTDIR_ENV = "EDWARDSIM_OUTDIR"
@@ -77,9 +76,10 @@ def _cmd_sample_fbm(cfg: RunConfig, args, outdir: Path) -> list[Path]:
     params = cfg.model_params()
     cov = GridCovariance(params)
     n_paths = 1 if args.paths is None else args.paths
+    values = sample_fbm_batch(params, n_paths, cov=cov, threads=cfg.threads)
     written = []
     for i in range(n_paths):
-        path = sample_fbm(params, rng=stream(params.seed, i), cov=cov)
+        path = FbmPath(grid=cov.grid, values=values[i], cov=cov)
         csv = outdir / f"path_{i:05d}.csv"
         bin_ = outdir / f"path_{i:05d}.fbmp"
         write_path_csv(csv, path)

@@ -7,9 +7,11 @@ The covariance of one component is
 and the d components are independent copies. Sampling is exact: the grid
 covariance (t_0 = 0 excluded, where the path is pinned to zero) is factored
 once by a dense Cholesky decomposition and reused for every path and every
-component. A circulant-embedding backend for the increment process is
-available for large N; it produces the same law and is checked against the
-Cholesky marginals in the test suite.
+component. A circulant-embedding (Davies-Harte) backend for the increment
+process needs no factor and suits large N; it produces the same law and is
+checked against the Cholesky marginals in the test suite. Single paths and
+batches share one draw routine: one product with the factor, or one
+spectrum and one batched FFT, per chunk of paths.
 """
 
 from __future__ import annotations
@@ -138,29 +140,52 @@ class FbmPath:
 # ---------------------------------------------------------------- samplers #
 
 
-def _fgn_davies_harte(H: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n steps of unit-spacing fractional Gaussian noise via circulant
-    embedding. Eigenvalues of the embedding are clipped at zero if they
-    undershoot by rounding only; a genuinely negative spectrum is an error.
+def _draw(
+    params: ModelParams,
+    grid: TimeGrid,
+    chol: np.ndarray | None,
+    rngs: list[np.random.Generator],
+    method: str,
+) -> np.ndarray:
+    """Values (P, N-1, d) at t_1..t_{N-1}, one path per generator in `rngs`.
+
+    Each path draws its normals from its own generator, and one product
+    (Cholesky) or one FFT (Davies-Harte) serves the whole list, so a path
+    gets the same bits whatever list it is drawn in.
     """
-    k = np.arange(n, dtype=float)
-    gamma = 0.5 * ((k + 1) ** (2 * H) - 2 * k ** (2 * H) + np.abs(k - 1) ** (2 * H))
-    row = np.concatenate([gamma, [0.0], gamma[:0:-1]])
-    lam = np.fft.fft(row).real
+    n, d, p = grid.n - 1, params.d, len(rngs)
+    if method == "cholesky":
+        # column j*d + c holds component c of path j
+        z = np.stack([r.standard_normal((n, d)) for r in rngs], axis=1).reshape(n, p * d)
+        if p * d == 1:
+            # numpy takes a matrix-vector product, rounded differently, for
+            # a single column; a zero second column keeps the matrix product
+            z = np.pad(z, ((0, 0), (0, 1)))
+        return (chol @ z)[:, : p * d].reshape(n, p, d).transpose(1, 0, 2)
+    if method != "davies-harte":
+        raise ValueError(f"unknown sampling method {method!r}")
+    # Circulant embedding of unit-spacing fractional Gaussian noise. The
+    # spectrum is clipped at zero where it undershoots by rounding only; a
+    # genuinely negative spectrum is an error. The first row of the
+    # circulant is [gamma(0..n), gamma(n-1..1)] (Davies & Harte 1987).
+    k = np.arange(n + 1, dtype=float)
+    two_h = 2.0 * params.H
+    gamma = 0.5 * ((k + 1) ** two_h - 2 * k**two_h + np.abs(k - 1) ** two_h)
+    lam = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
     if lam.min() < -1e-8 * lam.max():
         raise np.linalg.LinAlgError(
             f"circulant embedding not nonnegative (min eigenvalue {lam.min():.3e})"
         )
     lam = np.clip(lam, 0.0, None)
     m = 2 * n
-    z = rng.standard_normal(m)
-    a = np.zeros(m, dtype=complex)
-    a[0] = np.sqrt(lam[0] / m) * z[0]
-    a[n] = np.sqrt(lam[n] / m) * z[n]
-    half = np.sqrt(lam[1:n] / (2.0 * m))
-    a[1:n] = half * (z[1:n] + 1j * z[n + 1 :])
-    a[n + 1 :] = np.conj(a[1:n][::-1])
-    return np.fft.fft(a).real[:n]
+    z = np.stack([r.standard_normal((d, m)) for r in rngs])
+    a = np.empty((p, d, m), dtype=complex)
+    a[..., 0] = np.sqrt(lam[0] / m) * z[..., 0]
+    a[..., n] = np.sqrt(lam[n] / m) * z[..., n]
+    a[..., 1:n] = np.sqrt(lam[1:n] / (2.0 * m)) * (z[..., 1:n] + 1j * z[..., n + 1 :])
+    a[..., n + 1 :] = np.conj(a[..., n - 1 : 0 : -1])
+    fgn = np.fft.fft(a).real[..., :n]
+    return grid.spacing**params.H * np.cumsum(fgn, axis=-1).transpose(0, 2, 1)
 
 
 def sample_fbm(
@@ -180,22 +205,11 @@ def sample_fbm(
     """
     if cov is None:
         cov = GridCovariance(params, grid)
-    grid = cov.grid
     if rng is None:
         rng = stream(params.seed, 0)
-    n = grid.n - 1
-    values = np.zeros((grid.n, params.d))
-    if method == "cholesky":
-        z = rng.standard_normal((n, params.d))
-        values[1:] = cov.chol @ z
-    elif method == "davies-harte":
-        scale = grid.spacing**params.H
-        for c in range(params.d):
-            fgn = _fgn_davies_harte(params.H, n, rng)
-            values[1:, c] = scale * np.cumsum(fgn)
-    else:
-        raise ValueError(f"unknown sampling method {method!r}")
-    return FbmPath(grid=grid, values=values, cov=cov)
+    values = np.zeros((cov.grid.n, params.d))
+    values[1:] = _draw(params, cov.grid, cov.chol, [rng], method)[0]
+    return FbmPath(grid=cov.grid, values=values, cov=cov)
 
 
 def sample_fbm_batch(
@@ -212,38 +226,21 @@ def sample_fbm_batch(
 
     Replica i draws from stream(params.seed, stream_offset + i), so any
     subset of replicas reproduces bit-identically no matter how the batch is
-    chunked or threaded.
+    chunked or threaded. method="davies-harte" without `cov` builds only
+    the grid, no covariance factor.
     """
-    if cov is None:
+    if cov is not None:
+        grid, chol = cov.grid, cov.chol
+    elif method == "davies-harte":
+        grid, chol = make_grid(params) if grid is None else grid, None
+    else:
         cov = GridCovariance(params, grid)
-    grid = cov.grid
-    n = grid.n - 1
+        grid, chol = cov.grid, cov.chol
     out = np.zeros((m, grid.n, params.d))
 
-    if method == "cholesky":
-        z = np.empty((m, n, params.d))
-        for i in range(m):
-            z[i] = stream(params.seed, stream_offset + i).standard_normal(
-                (n, params.d)
-            )
-
-        def fill(lo: int, hi: int) -> None:
-            block = z[lo:hi].transpose(1, 0, 2).reshape(n, -1)
-            vals = cov.chol @ block
-            out[lo:hi, 1:, :] = vals.reshape(n, hi - lo, params.d).transpose(1, 0, 2)
-
-    elif method == "davies-harte":
-        scale = grid.spacing**params.H
-
-        def fill(lo: int, hi: int) -> None:
-            for i in range(lo, hi):
-                r = stream(params.seed, stream_offset + i)
-                for c in range(params.d):
-                    fgn = _fgn_davies_harte(params.H, n, r)
-                    out[i, 1:, c] = scale * np.cumsum(fgn)
-
-    else:
-        raise ValueError(f"unknown sampling method {method!r}")
+    def fill(lo: int, hi: int) -> None:
+        rngs = [stream(params.seed, stream_offset + i) for i in range(lo, hi)]
+        out[lo:hi, 1:] = _draw(params, grid, chol, rngs, method)
 
     _map_chunks(_chunk_bounds(m), fill, threads)
     return out

@@ -33,7 +33,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .fbm import GridCovariance
 from .params import ModelParams, TimeGrid
@@ -127,7 +126,7 @@ def _full(xr: np.ndarray) -> np.ndarray:
 def _make_state(target: _Target, xr: np.ndarray) -> _State:
     cov = target.cov
     g = target.params.g
-    prec = cho_solve((cov.chol, True), xr)
+    prec = cov.solve(xr)
     gauss = -0.5 * float(np.sum(xr * prec))
     if g == 0.0:
         # The Gaussian chain never needs the pair sum or its gradient.

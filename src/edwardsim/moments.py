@@ -330,6 +330,8 @@ def holder_verify(
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     if np.any(deltas <= 0.0):
         raise ValueError("delta schedule must be positive")
+    if m < 2:
+        raise ValueError(f"holder_verify needs at least 2 paths for a standard error, got m={m}")
     if cov is None:
         cov = GridCovariance(params)
     p = params if seed is None else replace(params, seed=seed)

@@ -258,13 +258,12 @@ class SiltEstimate:
 
 def silt_centered(path, eps: float) -> SiltEstimate:
     """Centered SILT of a path (shifted paths keep the unshifted centering)."""
-    raw = silt_raw(path, eps)
-    expectation = silt_expectation_grid(path.params, path.grid, eps)
+    raw, expectation, centered = centered_ladder(path.values[None], path.params, path.grid, [eps])
     return SiltEstimate(
         epsilon=float(eps),
-        raw=raw,
-        expectation=expectation,
-        centered=raw - expectation,
+        raw=float(raw[0, 0]),
+        expectation=float(expectation[0]),
+        centered=float(centered[0, 0]),
     )
 
 

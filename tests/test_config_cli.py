@@ -322,6 +322,11 @@ class TestCliFailures:
         assert _run(argv) == 2
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_holder_check_single_path_exits_2(self, outdir, capsys):
+        argv = ["holder-check", "--n", "16", "--paths", "1", "--out", str(outdir / "x")]
+        assert _run(argv) == 2
+        assert "at least 2 paths" in capsys.readouterr().err
+
     def test_unknown_shift_exits_1(self, outdir):
         argv = [
             "density-scan", "--n", "16", "--paths", "4",

@@ -145,13 +145,23 @@ class TestSampleBatch:
         full = sample_fbm_batch(p, 7, cov=cov)
         part = sample_fbm_batch(p, 4, cov=cov, stream_offset=3)
         assert np.array_equal(full[3:], part)
+        # at d = 1 a chunk of one replica is a single column of normals
+        p = ModelParams(N=64, d=1, seed=99)
+        cov = GridCovariance(p)
+        full = sample_fbm_batch(p, 300, cov=cov)
+        one = sample_fbm_batch(p, 1, cov=cov, stream_offset=5)
+        assert np.array_equal(full[5], one[0])
+        assert np.array_equal(full[256], sample_fbm_batch(p, 257, cov=cov)[256])
 
     def test_matches_single_path_sampler(self):
-        p = ModelParams(N=17, d=2, seed=99)
-        cov = GridCovariance(p)
-        batch = sample_fbm_batch(p, 3, cov=cov)
-        one = sample_fbm(p, cov=cov, rng=stream(p.seed, 0))
-        assert np.array_equal(batch[0], one.values)
+        for d in (1, 2, 3):
+            p = ModelParams(H=0.7, N=33, d=d, seed=99)
+            cov = GridCovariance(p)
+            for method in ("cholesky", "davies-harte"):
+                batch = sample_fbm_batch(p, 3, cov=cov, method=method)
+                for i in range(3):
+                    one = sample_fbm(p, cov=cov, rng=stream(p.seed, i), method=method)
+                    assert np.array_equal(batch[i], one.values), (d, method, i)
 
     def test_thread_count_invariance(self):
         # chunk boundaries are fixed, so the thread count cannot change bits
@@ -167,6 +177,17 @@ class TestSampleBatch:
         b = sample_fbm_batch(p, 3, method="davies-harte", grid=make_grid(p), stream_offset=2)
         assert a.shape == (5, 33, 1)
         assert np.array_equal(a[2:], b)
+
+    def test_davies_harte_builds_no_factor(self, monkeypatch):
+        def refuse(sigma):
+            raise AssertionError("circulant sampling must not factor the covariance")
+
+        monkeypatch.setattr("edwardsim.fbm._cholesky_with_jitter", refuse)
+        p = ModelParams(H=0.7, N=65, d=2, seed=4)
+        for grid in (None, make_grid(p)):
+            x = sample_fbm_batch(p, 3, grid=grid, method="davies-harte")
+            assert x.shape == (3, 65, 2)
+            assert np.all(x[:, 0] == 0.0)
 
 
 class TestSamplerStatistics:
@@ -219,8 +240,8 @@ class TestSamplerStatistics:
 
     def test_davies_harte_matches_cholesky_law(self):
         # same covariance structure from both backends, checked at 3 pairs,
-        # for anti- and positively correlated increments
-        for H, seed in ((0.3, 2024), (0.7, 11)):
+        # for anti- and positively correlated increments and for H near 1
+        for H, seed in ((0.3, 2024), (0.7, 11), (0.95, 5)):
             p = ModelParams(H=H, N=33, d=1, seed=seed)
             cov = GridCovariance(p)
             x = sample_fbm_batch(p, self.M, method="davies-harte", grid=cov.grid)

@@ -247,6 +247,12 @@ class TestHolderVerify:
                 small_params, sh, [0.05], [0.1, 0.0], 16, cov=small_cov
             )
 
+    def test_rejects_single_path(self, small_params, small_cov):
+        # one path has no standard error; the slopes would all be nan
+        sh = builtin_shift("sine", small_params, cov=small_cov)
+        with pytest.raises(ValueError, match="at least 2 paths"):
+            holder_verify(small_params, sh, [0.05], [0.1, 0.2], 1, cov=small_cov)
+
 
 class TestDensityProcess:
     def test_unit_at_zero_shift(self, small_params, small_cov):
