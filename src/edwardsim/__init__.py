@@ -37,6 +37,7 @@ from .silt import (
     silt_limit,
     silt_raw,
     silt_raw_batch,
+    silt_raw_shifted,
 )
 from .moments import (
     ContinuityScan,
@@ -110,6 +111,7 @@ __all__ = [
     "silt_limit",
     "silt_raw",
     "silt_raw_batch",
+    "silt_raw_shifted",
     "ContinuityScan",
     "HolderReport",
     "MomentIntegral",

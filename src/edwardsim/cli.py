@@ -89,6 +89,8 @@ def _cmd_sample_fbm(cfg: RunConfig, args, outdir: Path) -> list[Path]:
 
 
 def _cmd_silt(cfg: RunConfig, args, outdir: Path) -> list[Path]:
+    if cfg.paths < 2:
+        raise ValueError(f"silt needs at least 2 paths for a standard error, got {cfg.paths}")
     params = cfg.model_params()
     cov = GridCovariance(params)
     ladder = LadderConfig(eps0=cfg.eps0, levels=cfg.levels)
@@ -189,7 +191,6 @@ def _cmd_density_scan(cfg: RunConfig, args, outdir: Path) -> list[Path]:
         cov.grid,
         cfg.density_eps,
         g=params.g,
-        mode=cfg.mode,
         threads=cfg.threads,
     )
     table = outdir / "density_scan.csv"
@@ -199,7 +200,6 @@ def _cmd_density_scan(cfg: RunConfig, args, outdir: Path) -> list[Path]:
         summary,
         {
             "eps": cfg.density_eps,
-            "mode": cfg.mode,
             "paths": int(values.shape[0]),
             "u_max": cfg.u_max,
             "n_u": cfg.n_u,
@@ -317,7 +317,6 @@ _OVERRIDES = [
     ("eps", None),  # routed per subcommand below
     ("u_max", "u_max"),
     ("n_u", "n_u"),
-    ("mode", "mode"),
     ("shift", "shift"),
     ("step", "step"),
     ("iterations", "iterations"),
@@ -368,7 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--u-max", dest="u_max", type=float, default=None)
     p.add_argument("--n-u", dest="n_u", type=int, default=None)
-    p.add_argument("--mode", type=str, default=None, choices=("exact", "paper"))
 
     p = sub.add_parser("edwards-estimate", help="reweighted ensemble estimates")
     common(p)

@@ -49,7 +49,6 @@ class RunConfig:
     density_eps: float = 0.02
     u_max: float = 1.0
     n_u: int = 21
-    mode: str = "exact"
     shift: str = "linear"
     # [mala]
     mala_eps: float = 0.02
@@ -84,8 +83,6 @@ class RunConfig:
             raise ConfigError("regularization eps must be positive")
         if self.n_u < 3:
             raise ConfigError(f"n_u must be at least 3, got {self.n_u}")
-        if self.mode not in ("exact", "paper"):
-            raise ConfigError(f"mode must be 'exact' or 'paper', got {self.mode!r}")
         if self.step <= 0.0:
             raise ConfigError(f"step must be positive, got {self.step}")
         if self.iterations < 1 or self.burn_in < 0 or self.thin < 1:
@@ -131,7 +128,6 @@ _SCHEMA = {
         "eps": ("density_eps", float),
         "u_max": ("u_max", float),
         "n_u": ("n_u", int),
-        "mode": ("mode", str),
         "shift": ("shift", str),
     },
     "mala": {

@@ -35,6 +35,9 @@ __all__ = [
     "sample_fbm_batch",
 ]
 
+# sampling methods of sample_fbm and sample_fbm_batch
+_METHODS = ("cholesky", "davies-harte")
+
 
 def cov_h(H: float, t, s):
     """One-component fBm covariance 0.5*(t^2H + s^2H - |t-s|^2H).
@@ -151,7 +154,8 @@ def _draw(
 
     Each path draws its normals from its own generator, and one product
     (Cholesky) or one FFT (Davies-Harte) serves the whole list, so a path
-    gets the same bits whatever list it is drawn in.
+    gets the same bits whatever list it is drawn in. `method` is one of
+    _METHODS, checked by the caller.
     """
     n, d, p = grid.n - 1, params.d, len(rngs)
     if method == "cholesky":
@@ -162,8 +166,6 @@ def _draw(
             # a single column; a zero second column keeps the matrix product
             z = np.pad(z, ((0, 0), (0, 1)))
         return (chol @ z)[:, : p * d].reshape(n, p, d).transpose(1, 0, 2)
-    if method != "davies-harte":
-        raise ValueError(f"unknown sampling method {method!r}")
     # Circulant embedding of unit-spacing fractional Gaussian noise. The
     # spectrum is clipped at zero where it undershoots by rounding only; a
     # genuinely negative spectrum is an error. The first row of the
@@ -203,6 +205,7 @@ def sample_fbm(
     method="davies-harte" the increments come from the circulant embedding
     and are scaled by spacing^H (exact by self-similarity on a uniform grid).
     """
+    _check_method(method)
     if cov is None:
         cov = GridCovariance(params, grid)
     if rng is None:
@@ -229,6 +232,7 @@ def sample_fbm_batch(
     chunked or threaded. method="davies-harte" without `cov` builds only
     the grid, no covariance factor.
     """
+    _check_method(method)
     if cov is not None:
         grid, chol = cov.grid, cov.chol
     elif method == "davies-harte":
@@ -244,6 +248,11 @@ def sample_fbm_batch(
 
     _map_chunks(_chunk_bounds(m), fill, threads)
     return out
+
+
+def _check_method(method: str) -> None:
+    if method not in _METHODS:
+        raise ValueError(f"unknown sampling method {method!r}; known: {', '.join(_METHODS)}")
 
 
 def _chunk_bounds(m: int, target: int = 256) -> list[tuple[int, int]]:

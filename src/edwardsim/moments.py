@@ -12,7 +12,10 @@ so the characteristic function of the pair is exp(-0.5 * y^T Sigma y) per
 component. Everything downstream of that identity lives here: the Gaussian
 moment integral with its closed-form candidate, the L^2 modulus of the
 centered SILT between two shift magnitudes, the Holder-slope report, and
-the shift-family density process with its continuity scan.
+the exact density of the shifted reweighted law with its continuity scan.
+The last three take the SILT along the Cameron-Martin family x + u k, under
+which that law is quasi-invariant, from one silt_raw_shifted call on a
+shared base ensemble (common random numbers); u = 0 is the base.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .cameron_martin import _LOG_OVERFLOW, CMShift
 from .fbm import GridCovariance, sample_fbm_batch
 from .params import ModelParams, TimeGrid
 from .rng import stream
-from .silt import silt_raw_batch
+from .silt import silt_raw_shifted
 
 __all__ = [
     "SigmaMatrix",
@@ -214,10 +217,6 @@ def gaussian_moment_integral(
 # ----------------------------------------------------- L^2 Holder machinery #
 
 
-def _shifted(values: np.ndarray, shift: CMShift, u: float) -> np.ndarray:
-    return values + u * shift.k
-
-
 def l2_difference_silt(
     params: ModelParams,
     shift: CMShift,
@@ -236,23 +235,21 @@ def l2_difference_silt(
     Common random numbers: both shift magnitudes are applied to the same
     base paths, so u = v gives exactly zero and the estimate is symmetric
     in (u, v) to the bit. The centering terms cancel in the difference.
-    Returns (estimate, stderr).
+    Returns (estimate, stderr); needs at least 2 paths for the stderr.
     """
+    m = m if values is None else values.shape[0]
+    if m < 2:
+        raise ValueError(
+            f"l2_difference_silt needs at least 2 paths for a standard error, got m={m}"
+        )
     if values is None:
         if cov is None:
             cov = GridCovariance(params)
         p = params if seed is None else replace(params, seed=seed)
         values = sample_fbm_batch(p, m, cov=cov, threads=threads)
-        grid = cov.grid
-    else:
-        grid = shift.grid
-        m = values.shape[0]
-    ru = silt_raw_batch(_shifted(values, shift, u), grid, [eps], threads=threads)[:, 0]
-    rv = silt_raw_batch(_shifted(values, shift, v), grid, [eps], threads=threads)[:, 0]
-    dsq = (ru - rv) ** 2
-    est = float(np.mean(dsq))
-    stderr = float(np.std(dsq, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
-    return est, stderr
+    raw = silt_raw_shifted(values, shift.grid, shift.k, [u, v], [eps], threads=threads)[:, :, 0]
+    dsq = (raw[:, 0] - raw[:, 1]) ** 2
+    return float(np.mean(dsq)), float(np.std(dsq, ddof=1) / np.sqrt(m))
 
 
 def _wls_loglog(x: np.ndarray, y: np.ndarray, y_se: np.ndarray):
@@ -336,21 +333,13 @@ def holder_verify(
         cov = GridCovariance(params)
     p = params if seed is None else replace(params, seed=seed)
     values = sample_fbm_batch(p, m, cov=cov, threads=threads)
-    base = silt_raw_batch(values, cov.grid, epsilons, threads=threads)
-    est = np.empty((epsilons.size, deltas.size))
-    se = np.empty_like(est)
-    for pi, delta in enumerate(deltas):
-        shifted = silt_raw_batch(
-            _shifted(values, shift, float(delta)), cov.grid, epsilons, threads=threads
-        )
-        dsq = (shifted - base) ** 2
-        est[:, pi] = dsq.mean(axis=0)
-        se[:, pi] = dsq.std(axis=0, ddof=1) / np.sqrt(m)
-    slopes = np.empty(epsilons.size)
-    inters = np.empty(epsilons.size)
-    slope_ses = np.empty(epsilons.size)
-    for k in range(epsilons.size):
-        slopes[k], inters[k], slope_ses[k] = _wls_loglog(deltas, est[k], se[k])
+    raw = silt_raw_shifted(values, cov.grid, shift.k, [0.0, *deltas], epsilons, threads=threads)
+    # row 0 of the family is the base; est[k, p] is at eps k and delta p
+    dsq = (raw[:, 1:] - raw[:, :1]) ** 2
+    est = dsq.mean(axis=0).T
+    se = dsq.std(axis=0, ddof=1).T / np.sqrt(m)
+    fits = np.array([_wls_loglog(deltas, e, s) for e, s in zip(est, se)])
+    slopes, inters, slope_ses = fits.T
     return HolderReport(
         epsilons=epsilons,
         deltas=deltas,
@@ -375,23 +364,19 @@ def density_process(
     eps: float,
     *,
     g: float | None = None,
-    mode: str = "exact",
 ) -> float:
-    """Density of the reweighted path law under the shift u*k at this path.
+    """Density of the reweighted path law under the shift u*k at this path:
+    exp(-g * [L_eps(x - u k) - L_eps(x)]) times the Gaussian factor of
+    gaussian_rn_density.
 
-    mode="exact" evaluates exp(-g * [L_eps(x - u k) - L_eps(x)]) times the
-    Gaussian factor; this is the exact finite-dimensional density of the
-    shifted reweighted law against itself, and integrates to 1 under the
-    reweighted ensemble for every eps and g. mode="paper" puts the shift
-    magnitude in the exponent instead, exp(-u * [L_eps(x + u k) - L_eps(x)])
-    times the same Gaussian factor; it is kept for side-by-side comparison
-    and satisfies no exact normalization identity.
-
-    At u = 0 the value is exactly 1; at g = 0 ("exact") it reduces to
-    gaussian_rn_density (same formula, vectorized evaluation order).
+    This is the exact finite-dimensional density of the shifted reweighted
+    law against itself, and integrates to 1 under the reweighted ensemble
+    for every eps and g. At u = 0 the value is exactly 1; at g = 0 it
+    reduces to gaussian_rn_density (same formula, vectorized evaluation
+    order). g defaults to path.params.g.
     """
     vals = density_process_batch(
-        shift, u, path.values[None], path.grid, eps, g=path.params.g if g is None else g, mode=mode
+        shift, u, path.values[None], path.grid, eps, g=path.params.g if g is None else g
     )
     return float(vals[0])
 
@@ -404,39 +389,28 @@ def density_process_batch(
     eps: float,
     *,
     g: float,
-    mode: str = "exact",
     threads: int = 1,
 ) -> np.ndarray:
     """Vectorized density process over a batch of paths (M, N, d)."""
-    base_raw = silt_raw_batch(values, grid, [eps], threads=threads)[:, 0]
-    return _density_from_base(shift, u, values, grid, eps, base_raw, g, mode, threads)
+    return _densities(shift, np.array([float(u)]), values, grid, eps, g, threads)[:, 0]
 
 
-def _density_from_base(
+def _densities(
     shift: CMShift,
-    u: float,
+    us: np.ndarray,
     values: np.ndarray,
     grid: TimeGrid,
     eps: float,
-    base_raw: np.ndarray,
     g: float,
-    mode: str,
     threads: int,
 ) -> np.ndarray:
-    """density_process_batch given the unshifted raw SILT of `values`."""
-    if mode == "exact":
-        coef, direction = g, -1.0
-    elif mode == "paper":
-        coef, direction = u, +1.0
-    else:
-        raise ValueError(f"unknown density mode {mode!r}")
-    shifted_raw = silt_raw_batch(
-        values + (direction * u) * shift.k, grid, [eps], threads=threads
-    )[:, 0]
-    delta = shifted_raw - base_raw
-    x = values[:, 1:, :]
-    log_rn = u * np.tensordot(x, shift.w, axes=([1, 2], [0, 1])) - 0.5 * u * u * shift.energy
-    log_weight = -coef * delta + log_rn
+    """(M, n_u) density process at each u of `us`, from one shifted family
+    at [0, -us]: its row 0 is the unshifted SILT."""
+    raw = silt_raw_shifted(values, grid, shift.k, [0.0, *(-us)], [eps], threads=threads)[:, :, 0]
+    delta = raw[:, 1:] - raw[:, :1]
+    cm = np.tensordot(values[:, 1:, :], shift.w, axes=([1, 2], [0, 1]))
+    log_rn = us * cm[:, None] - 0.5 * us * us * shift.energy
+    log_weight = -g * delta + log_rn
     if np.any(log_weight > _LOG_OVERFLOW):
         raise OverflowError("density_process overflows the double range")
     return np.exp(log_weight)
@@ -480,18 +454,12 @@ def continuity_scan(
     eps: float,
     *,
     g: float,
-    mode: str = "exact",
     threads: int = 1,
 ) -> ContinuityScan:
     """Evaluate the density process on a u grid for each path in `values`."""
     u_grid = np.atleast_1d(np.asarray(u_grid, dtype=float))
     if u_grid.size < 3:
         raise ValueError("u grid needs at least 3 points")
-    base_raw = silt_raw_batch(values, grid, [eps], threads=threads)[:, 0]
-    dens = np.empty((values.shape[0], u_grid.size))
-    for i, u in enumerate(u_grid):
-        dens[:, i] = _density_from_base(
-            shift, float(u), values, grid, eps, base_raw, g, mode, threads
-        )
+    dens = _densities(shift, u_grid, values, grid, eps, g, threads)
     jumps = np.abs(np.diff(dens, axis=1)) / np.maximum(dens[:, 1:], dens[:, :-1])
     return ContinuityScan(u_grid=u_grid, densities=dens, max_jump=jumps.max(axis=1))

@@ -44,6 +44,7 @@ __all__ = [
     "heat_kernel",
     "silt_raw",
     "silt_raw_batch",
+    "silt_raw_shifted",
     "silt_expectation",
     "silt_expectation_grid",
     "brownian_plane_expectation",
@@ -120,6 +121,28 @@ def silt_raw_batch(
     squared in place, so a ladder costs one exp per pair. Memory is the
     chunk written twice in a row and two block buffers, O(M N d) in all.
     """
+    return _raw_family(values, grid, [None], epsilons, threads)[:, 0]
+
+
+def silt_raw_shifted(
+    values: np.ndarray, grid: TimeGrid, k: np.ndarray, us, epsilons, *, threads: int = 1
+) -> np.ndarray:
+    """Raw SILT of the shifted family values + u k: (M, N, d) -> (M, n_u, n_eps).
+
+    k is a path (N, d), in practice a Cameron-Martin direction. Each
+    256-path chunk of silt_raw_batch is shifted by every u in turn, so
+    entry [:, i] equals silt_raw_batch(values + us[i] * k) to the bit at any
+    thread count; a u of 0 runs on the unshifted values.
+    """
+    us = np.atleast_1d(np.asarray(us, dtype=float))
+    return _raw_family(values, grid, [None if u == 0.0 else u * k for u in us], epsilons, threads)
+
+
+def _raw_family(
+    values: np.ndarray, grid: TimeGrid, offsets: list, epsilons, threads: int
+) -> np.ndarray:
+    """(M, len(offsets), n_eps) raw SILT of values + offset for each offset,
+    None standing for no shift."""
     epsilons = np.atleast_1d(np.asarray(epsilons, dtype=float))
     if np.any(epsilons <= 0.0):
         raise ValueError("all eps values must be positive")
@@ -129,10 +152,12 @@ def silt_raw_batch(
     rates = -0.5 / epsilons
     squares = np.concatenate([[False], rates[1:] == 2.0 * rates[:-1]])
     factor = grid.spacing**2 * (2.0 * np.pi * epsilons) ** (-0.5 * d)
-    out = np.empty((m, epsilons.size))
+    out = np.empty((m, len(offsets), epsilons.size))
 
     def work(lo: int, hi: int) -> None:
-        out[lo:hi] = _lag_block_sums(values[lo:hi], rates, squares) * factor
+        for i, offset in enumerate(offsets):
+            x = values[lo:hi] if offset is None else values[lo:hi] + offset
+            out[lo:hi, i] = _lag_block_sums(x, rates, squares) * factor
 
     _map_chunks(_chunk_bounds(m), work, threads)
     return out

@@ -11,15 +11,12 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
-import pytest
 import scipy.integrate
 from scipy import stats
 
 from conftest import ACCEPTANCE_LINES
 from edwardsim import (
     CylinderFunction,
-    GridCovariance,
-    ModelParams,
     WeightedEnsemble,
     batch_means_stderr,
     brownian_plane_expectation,
@@ -43,7 +40,7 @@ from edwardsim import (
     silt_expectation_grid,
     silt_raw_batch,
 )
-from edwardsim.mala import _Target, _full, _make_state
+from edwardsim.mala import _Target, _make_state
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -216,7 +213,7 @@ def test_criterion_07_density_continuity(desk_params, desk_cov, desk_ensemble):
     # genuine discontinuity would hold the ratio near 1.
     shift = builtin_shift("linear", desk_params, cov=desk_cov)
     vals = desk_ensemble.values[:100]
-    kwargs = dict(eps=0.02, g=desk_params.g, mode="exact")
+    kwargs = dict(eps=0.02, g=desk_params.g)
     coarse = continuity_scan(
         shift, np.linspace(0.0, 1.0, 11), vals, desk_cov.grid, **kwargs
     )

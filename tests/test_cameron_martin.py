@@ -14,7 +14,6 @@ from edwardsim import (
     gaussian_rn_density,
     kernel_rh,
     log_gaussian_rn_density,
-    make_grid,
     make_shift_from_h,
     make_shift_from_target,
     sample_fbm,

@@ -52,7 +52,6 @@ n_deltas = 4
 eps = 0.03
 u_max = 2.0
 n_u = 11
-mode = paper
 shift = sine
 
 [mala]
@@ -69,7 +68,7 @@ thin = 5
         assert cfg.holder_epsilons == (0.1, 0.05, 0.025)
         assert (cfg.delta_min, cfg.delta_max, cfg.n_deltas) == (0.01, 0.5, 4)
         assert (cfg.density_eps, cfg.u_max, cfg.n_u) == (0.03, 2.0, 11)
-        assert (cfg.mode, cfg.shift) == ("paper", "sine")
+        assert cfg.shift == "sine"
         assert (cfg.mala_eps, cfg.step, cfg.burn_in, cfg.iterations, cfg.thin) == (
             0.04,
             0.25,
@@ -324,6 +323,12 @@ class TestCliFailures:
 
     def test_holder_check_single_path_exits_2(self, outdir, capsys):
         argv = ["holder-check", "--n", "16", "--paths", "1", "--out", str(outdir / "x")]
+        assert _run(argv) == 2
+        assert "at least 2 paths" in capsys.readouterr().err
+
+    def test_silt_single_path_exits_2(self, outdir, capsys):
+        # one path has no standard error; stderr_centered would be nan
+        argv = ["silt", "--n", "16", "--paths", "1", "--out", str(outdir / "x")]
         assert _run(argv) == 2
         assert "at least 2 paths" in capsys.readouterr().err
 

@@ -8,7 +8,6 @@ from edwardsim import (
     ModelParams,
     builtin_shift,
     coordinate_functional,
-    cov_h,
     dirichlet_form,
     edwards_ensemble,
     gradient_cylinder,

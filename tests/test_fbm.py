@@ -178,6 +178,18 @@ class TestSampleBatch:
         assert a.shape == (5, 33, 1)
         assert np.array_equal(a[2:], b)
 
+    def test_rejects_unknown_method_before_any_work(self, small_params, monkeypatch):
+        # an empty batch draws nothing, and without `cov` no factor is built
+        with pytest.raises(ValueError, match="method"):
+            sample_fbm_batch(small_params, 0, method="bogus")
+
+        def refuse(sigma):
+            raise AssertionError("factor built for an unknown method")
+
+        monkeypatch.setattr("edwardsim.fbm._cholesky_with_jitter", refuse)
+        with pytest.raises(ValueError, match="method"):
+            sample_fbm_batch(small_params, 4, method="bogus")
+
     def test_davies_harte_builds_no_factor(self, monkeypatch):
         def refuse(sigma):
             raise AssertionError("circulant sampling must not factor the covariance")

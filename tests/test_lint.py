@@ -5,9 +5,12 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "edwardsim"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "edwardsim"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+# scripts whose imports are linted alongside the package modules
+SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -84,10 +87,16 @@ def test_finds_an_unused_import():
 
 def test_modules_are_found():
     assert {"silt.py", "fbm.py", "mala.py"} <= {p.name for p in MODULES}
+    assert {"test_lint.py", "01_sample_paths.py"} <= {p.name for p in SCRIPTS}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_unused_imports_in_scripts(path):
     assert unused_imports(path.read_text()) == []
 
 

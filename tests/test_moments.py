@@ -189,6 +189,19 @@ class TestL2Difference:
         assert a == b
         assert a != l2_difference_silt(small_params, sh, 0.05, 0.4, 0.0, 32, cov=small_cov)
 
+    def test_rejects_single_sampled_path(self, small_params, small_cov):
+        # one path has no standard error
+        sh = builtin_shift("linear", small_params, cov=small_cov)
+        with pytest.raises(ValueError, match="at least 2 paths"):
+            l2_difference_silt(small_params, sh, 0.05, 0.4, 0.0, 1, cov=small_cov)
+
+    def test_rejects_single_given_path(self, small_params, small_cov):
+        # m is read from `values`, whatever the m argument says
+        sh = builtin_shift("linear", small_params, cov=small_cov)
+        vals = sample_fbm_batch(small_params, 1, cov=small_cov)
+        with pytest.raises(ValueError, match="at least 2 paths"):
+            l2_difference_silt(small_params, sh, 0.05, 0.4, 0.0, 64, values=vals)
+
 
 class TestHolderVerify:
     def test_seed_override_is_replaced_params(self, small_params, small_cov):
@@ -258,8 +271,7 @@ class TestDensityProcess:
     def test_unit_at_zero_shift(self, small_params, small_cov):
         path = sample_fbm(small_params, cov=small_cov)
         sh = builtin_shift("linear", small_params, cov=small_cov)
-        for mode in ("exact", "paper"):
-            assert density_process(sh, 0.0, path, 0.05, mode=mode) == 1.0
+        assert density_process(sh, 0.0, path, 0.05) == 1.0
 
     def test_reduces_to_gaussian_density_at_zero_coupling(
         self, small_params, small_cov
@@ -270,20 +282,6 @@ class TestDensityProcess:
         b = gaussian_rn_density(sh, 0.7, path)
         # same affine form; vectorized vs scalar reduction order
         assert abs(a - b) < 1e-13 * b
-
-    def test_modes_differ_for_nonzero_shift(self, small_params, small_cov):
-        path = sample_fbm(small_params, cov=small_cov)
-        sh = builtin_shift("linear", small_params, cov=small_cov)
-        exact = density_process(sh, 0.8, path, 0.05)
-        paper = density_process(sh, 0.8, path, 0.05, mode="paper")
-        assert exact > 0.0 and paper > 0.0
-        assert exact != paper
-
-    def test_unknown_mode(self, small_params, small_cov):
-        path = sample_fbm(small_params, cov=small_cov)
-        sh = builtin_shift("linear", small_params, cov=small_cov)
-        with pytest.raises(ValueError, match="mode"):
-            density_process(sh, 0.5, path, 0.05, mode="loose")
 
     def test_overflow_raises(self, small_params, small_cov):
         sh = builtin_shift("linear", small_params, cov=small_cov)
@@ -346,13 +344,9 @@ class TestContinuityScan:
         vals = sample_fbm_batch(small_params, 12, cov=small_cov)
         sh = builtin_shift("sine", small_params, cov=small_cov)
         u_grid = np.linspace(0.0, 1.5, 5)
-        for mode in ("exact", "paper"):
-            scan = continuity_scan(sh, u_grid, vals, small_cov.grid, 0.05, g=0.1, mode=mode)
-            each = [
-                density_process_batch(sh, u, vals, small_cov.grid, 0.05, g=0.1, mode=mode)
-                for u in u_grid
-            ]
-            assert np.array_equal(scan.densities, np.stack(each, axis=1))
+        scan = continuity_scan(sh, u_grid, vals, small_cov.grid, 0.05, g=0.1)
+        each = [density_process_batch(sh, u, vals, small_cov.grid, 0.05, g=0.1) for u in u_grid]
+        assert np.array_equal(scan.densities, np.stack(each, axis=1))
 
     def test_needs_three_points(self, small_params, small_cov):
         vals = sample_fbm_batch(small_params, 4, cov=small_cov)

@@ -23,6 +23,7 @@ from edwardsim import (
     silt_limit,
     silt_raw,
     silt_raw_batch,
+    silt_raw_shifted,
 )
 from edwardsim.silt import _assemble_ladder
 from pair_reference import pair_cache
@@ -210,6 +211,26 @@ class TestSiltBatch:
             silt_raw_batch(vals, small_cov.grid, [0.1, -0.1])
         with pytest.raises(ValueError, match="N"):
             silt_raw_batch(np.zeros((3, 32, 2)), small_cov.grid, [0.1])
+
+
+class TestSiltShifted:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_each_row_is_the_batch_kernel_on_the_shifted_paths(self, d):
+        # 300 paths span two chunks; the first eps list is a dyadic
+        # ladder, whose rungs are squared, the second is not
+        p = ModelParams(H=1.0 / d if d > 1 else 0.5, d=d, N=40, seed=8)
+        cov = GridCovariance(p)
+        vals = sample_fbm_batch(p, 300, cov=cov)
+        t = cov.grid.points
+        k = np.sin(np.pi * t)[:, None] * np.arange(1.0, d + 1.0)
+        us = [0.0, -0.7, 0.3, 1.5]
+        for eps in ([0.1, 0.05, 0.025], [0.05, 0.02]):
+            ref = np.stack([silt_raw_batch(vals + u * k, cov.grid, eps) for u in us], axis=1)
+            assert np.array_equal(ref[:, 0], silt_raw_batch(vals, cov.grid, eps))
+            for threads in (1, 2, 3):
+                out = silt_raw_shifted(vals, cov.grid, k, us, eps, threads=threads)
+                assert out.shape == (300, 4, len(eps))
+                assert np.array_equal(out, ref)
 
 
 class TestExpectation:
