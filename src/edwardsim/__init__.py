@@ -63,7 +63,6 @@ from .edwards import (
     make_linear,
     make_poly_bump,
     make_tanh,
-    orthonormal_shift_basis,
     random_cylinder,
 )
 from .mala import ChainState, MalaResult, batch_means_stderr, load_checkpoint, run_mala, save_checkpoint
@@ -133,7 +132,6 @@ __all__ = [
     "make_linear",
     "make_poly_bump",
     "make_tanh",
-    "orthonormal_shift_basis",
     "random_cylinder",
     "ChainState",
     "MalaResult",

@@ -1,4 +1,4 @@
-"""Reweighted path ensembles, cylinder functions, and the quadratic form.
+"""Reweighted path ensembles, cylinder functions, and the Dirichlet form.
 
 The reweighted (polymer-type) path law is
 
@@ -8,12 +8,12 @@ realized here by self-normalized importance sampling: an ensemble of fBm
 paths with weights exp(-g * lc), where lc is the centered SILT at the
 bottom of an eps ladder. Cylinder functions f(l_1(x), ..., l_n(x)) built
 from linear grid functionals have exact directional derivatives along
-Cameron-Martin shifts, and the quadratic (Dirichlet-type) form
+Cameron-Martin shifts, and the Dirichlet form
 
-    E_g[ sum_n  d_k_n f * d_k_n h ]
+    E(f, h) = E_g[ <grad f, grad h>_CM ]
 
-is estimated over a truncated orthonormal shift basis built from
-covariance columns.
+(no factor 1/2), with the full Cameron-Martin gradient, is estimated in
+closed form from the covariance factor.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "CylinderFunction",
     "random_cylinder",
     "gradient_cylinder",
-    "orthonormal_shift_basis",
     "dirichlet_form",
 ]
 
@@ -277,71 +276,34 @@ def gradient_cylinder(fcn: CylinderFunction, shift: CMShift, values: np.ndarray)
     return g @ zk
 
 
-# -------------------------------------------------- quadratic form estimate #
-
-
-def orthonormal_shift_basis(
-    params: ModelParams,
-    *,
-    cov: GridCovariance | None = None,
-    n_trunc: int = 8,
-) -> list[CMShift]:
-    """Covariance-column shifts, orthonormalized in the shift inner product
-    <a, b> = sum_c w_a^T k_b. Columns cycle through components so the basis
-    spans all d components; truncation defaults to 8 directions."""
-    if cov is None:
-        cov = GridCovariance(params)
-    grid = cov.grid
-    n = grid.n - 1
-    if n_trunc > n * params.d:
-        raise ValueError("truncation exceeds the available directions")
-    raw: list[tuple[np.ndarray, np.ndarray]] = []
-    j = 0
-    while len(raw) < n_trunc:
-        col = j // params.d
-        comp = j % params.d
-        if col >= n:
-            raise ValueError("truncation exceeds the available columns")
-        k = np.zeros((grid.n, params.d))
-        k[1:, comp] = cov.sigma[:, col]
-        w = np.zeros((n, params.d))
-        w[col, comp] = 1.0
-        raw.append((k, w))
-        j += 1
-
-    basis: list[tuple[np.ndarray, np.ndarray]] = []
-    for k, w in raw:
-        k = k.copy()
-        w = w.copy()
-        for _ in range(2):  # re-orthogonalization pass for stability
-            for kb, wb in basis:
-                proj = float(np.sum(wb * k[1:]))
-                k -= proj * kb
-                w -= proj * wb
-        norm = np.sqrt(float(np.sum(w * k[1:])))
-        if norm <= 0.0:
-            raise np.linalg.LinAlgError("degenerate shift basis")
-        k /= norm
-        w /= norm
-        basis.append((k, w))
-    return [CMShift(grid=grid, k=k, w=w) for k, w in basis]
+# ------------------------------------------------------------ Dirichlet form #
 
 
 def dirichlet_form(
     f: CylinderFunction,
     h: CylinderFunction,
     ensemble: WeightedEnsemble,
-    basis: list[CMShift],
+    *,
+    cov: GridCovariance | None = None,
 ) -> tuple[float, float]:
-    """Weighted estimate of sum_n E_g[d_k_n f * d_k_n h] over the basis.
+    """Weighted estimate of E(f, h) = E_g[<grad f, grad h>_CM] with the full
+    Cameron-Martin gradient. Returns (value, stderr).
 
-    The per-path summand is formed identically for (f, h) and (h, f), so
-    the estimate is symmetric to the bit; for f = h it is a weighted mean
-    of squares and therefore nonnegative. Returns (value, stderr).
+    With sigma = C C^T, the CM inner product of the gradients of f and h at
+    a path is v_f . v_h, where v_f = grad phi_f(z_f(x)) @ A_f and row i of
+    A_f stacks C^T w_i[1:, c] over the components c (node 0 is pinned and
+    carries no gradient). The per-path summand is formed identically for
+    (f, h) and (h, f), so the estimate is symmetric to the bit; for f = h
+    it is a weighted mean of squares and therefore nonnegative. `cov`
+    defaults to the covariance on the ensemble's grid and must share it.
     """
-    lf = np.stack([f.z(s.k) for s in basis], axis=1)  # (n_f, n_basis)
-    lh = np.stack([h.z(s.k) for s in basis], axis=1)
-    gf = f.grad_coeffs(ensemble.values) @ lf  # (M, n_basis)
-    gh = h.grad_coeffs(ensemble.values) @ lh
-    per_path = np.sum(gf * gh, axis=1)
-    return ensemble.expectation(per_path)
+    if cov is None:
+        cov = GridCovariance(ensemble.params, ensemble.grid)
+    elif not np.array_equal(cov.grid.points, ensemble.grid.points):
+        raise ValueError("cov and ensemble live on different grids")
+
+    def cm_gradient(fcn: CylinderFunction) -> np.ndarray:  # (M, (N-1) d)
+        a = np.tensordot(fcn.weights[:, 1:, :], cov.chol, axes=([1], [0]))
+        return fcn.grad_coeffs(ensemble.values) @ a.reshape(fcn.n_args, -1)
+
+    return ensemble.expectation(np.sum(cm_gradient(f) * cm_gradient(h), axis=1))

@@ -37,6 +37,10 @@ __all__ = [
 
 # sampling methods of sample_fbm and sample_fbm_batch
 _METHODS = ("cholesky", "davies-harte")
+# Cholesky normals are zero-padded to a multiple of this many columns: BLAS
+# rounds a trailing partial block of 8 columns (and numpy a lone column)
+# differently, which would make a replica's bits depend on its chunk.
+_GEMM_COLUMNS = 8
 
 
 def cov_h(H: float, t, s):
@@ -161,10 +165,8 @@ def _draw(
     if method == "cholesky":
         # column j*d + c holds component c of path j
         z = np.stack([r.standard_normal((n, d)) for r in rngs], axis=1).reshape(n, p * d)
-        if p * d == 1:
-            # numpy takes a matrix-vector product, rounded differently, for
-            # a single column; a zero second column keeps the matrix product
-            z = np.pad(z, ((0, 0), (0, 1)))
+        if pad := -(p * d) % _GEMM_COLUMNS:
+            z = np.pad(z, ((0, 0), (0, pad)))
         return (chol @ z)[:, : p * d].reshape(n, p, d).transpose(1, 0, 2)
     # Circulant embedding of unit-spacing fractional Gaussian noise. The
     # spectrum is clipped at zero where it undershoots by rounding only; a

@@ -392,10 +392,11 @@ def density_process_batch(
     threads: int = 1,
 ) -> np.ndarray:
     """Vectorized density process over a batch of paths (M, N, d)."""
-    return _densities(shift, np.array([float(u)]), values, grid, eps, g, threads)[:, 0]
+    log_a = _log_densities(shift, np.array([float(u)]), values, grid, eps, g, threads)
+    return np.exp(log_a[:, 0])
 
 
-def _densities(
+def _log_densities(
     shift: CMShift,
     us: np.ndarray,
     values: np.ndarray,
@@ -404,31 +405,41 @@ def _densities(
     g: float,
     threads: int,
 ) -> np.ndarray:
-    """(M, n_u) density process at each u of `us`, from one shifted family
-    at [0, -us]: its row 0 is the unshifted SILT."""
-    raw = silt_raw_shifted(values, grid, shift.k, [0.0, *(-us)], [eps], threads=threads)[:, :, 0]
-    delta = raw[:, 1:] - raw[:, :1]
+    """(M, n_u) log density process at each u of `us`, from one shifted
+    family at -us. The unshifted SILT is the family's u = 0 row when `us`
+    holds 0, and a row of its own in front otherwise."""
+    zero = np.flatnonzero(us == 0.0)
+    family = -us if zero.size else np.append(0.0, -us)
+    raw = silt_raw_shifted(values, grid, shift.k, family, [eps], threads=threads)[:, :, 0]
+    base = raw[:, zero[0] if zero.size else 0]
+    delta = raw[:, family.size - us.size :] - base[:, None]
     cm = np.tensordot(values[:, 1:, :], shift.w, axes=([1, 2], [0, 1]))
     log_rn = us * cm[:, None] - 0.5 * us * us * shift.energy
     log_weight = -g * delta + log_rn
     if np.any(log_weight > _LOG_OVERFLOW):
         raise OverflowError("density_process overflows the double range")
-    return np.exp(log_weight)
+    return log_weight
 
 
 @dataclass(eq=False)
 class ContinuityScan:
     """Density process evaluated on a u grid for a fixed path set.
 
-    jump[m] is path m's maximum relative jump between adjacent u values
-    (|a_{i+1} - a_i| / max(a_i, a_{i+1})); q95 is its 95th percentile over
-    paths. Halving the u step should about halve q95 when the density is
-    continuous in u.
+    jumps[m, i] is path m's relative jump |a_{i+1} - a_i| / max(a_i, a_{i+1})
+    between adjacent u values, computed from the log-densities as
+    1 - exp(-|log a_{i+1} - log a_i|), so it stays finite where both
+    densities underflow to 0. max_jump is its maximum per path and q95 the
+    95th percentile of that over paths. Halving the u step should about
+    halve q95 when the density is continuous in u.
     """
 
     u_grid: np.ndarray
     densities: np.ndarray
-    max_jump: np.ndarray
+    jumps: np.ndarray
+
+    @property
+    def max_jump(self) -> np.ndarray:
+        return self.jumps.max(axis=1)
 
     @property
     def q95(self) -> float:
@@ -437,12 +448,11 @@ class ContinuityScan:
     def per_u_stats(self) -> np.ndarray:
         """Rows (u, a_min, a_max, max_jump_into_u) for reporting."""
         a = self.densities
-        jumps = np.abs(np.diff(a, axis=1)) / np.maximum(a[:, 1:], a[:, :-1])
         out = np.zeros((self.u_grid.size, 4))
         out[:, 0] = self.u_grid
         out[:, 1] = a.min(axis=0)
         out[:, 2] = a.max(axis=0)
-        out[1:, 3] = jumps.max(axis=0)
+        out[1:, 3] = self.jumps.max(axis=0)
         return out
 
 
@@ -460,6 +470,6 @@ def continuity_scan(
     u_grid = np.atleast_1d(np.asarray(u_grid, dtype=float))
     if u_grid.size < 3:
         raise ValueError("u grid needs at least 3 points")
-    dens = _densities(shift, u_grid, values, grid, eps, g, threads)
-    jumps = np.abs(np.diff(dens, axis=1)) / np.maximum(dens[:, 1:], dens[:, :-1])
-    return ContinuityScan(u_grid=u_grid, densities=dens, max_jump=jumps.max(axis=1))
+    log_dens = _log_densities(shift, u_grid, values, grid, eps, g, threads)
+    jumps = -np.expm1(-np.abs(np.diff(log_dens, axis=1)))
+    return ContinuityScan(u_grid=u_grid, densities=np.exp(log_dens), jumps=jumps)

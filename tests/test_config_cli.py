@@ -332,6 +332,18 @@ class TestCliFailures:
         assert _run(argv) == 2
         assert "at least 2 paths" in capsys.readouterr().err
 
+    def test_density_scan_far_shift_writes_no_nan(self, outdir):
+        # the densities underflow to 0 far along the shift; every relative
+        # jump must still be a number
+        out = outdir / "x"
+        argv = ["density-scan", "--n", "64", "--paths", "8", "--u-max", "60", "--out", str(out)]
+        assert _run(argv) == 0
+        sub = out / "density-scan"
+        table = np.loadtxt(sub / "density_scan.csv", delimiter=",", skiprows=1)
+        assert np.any(table[:, 2] == 0.0)
+        assert np.all(np.isfinite(table))
+        assert np.isfinite(json.loads((sub / "density_scan.json").read_text())["q95_max_jump"])
+
     def test_unknown_shift_exits_1(self, outdir):
         argv = [
             "density-scan", "--n", "16", "--paths", "4",

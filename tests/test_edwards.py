@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edwardsim import (
     CylinderFunction,
@@ -15,7 +19,6 @@ from edwardsim import (
     make_poly_bump,
     make_shift_from_target,
     make_tanh,
-    orthonormal_shift_basis,
     random_cylinder,
 )
 
@@ -178,71 +181,32 @@ class TestGradientCylinder:
             assert np.all(np.abs(analytic - fd) / scale < 1e-6)
 
 
-class TestBasis:
-    def test_gram_identity(self, small_params, small_cov):
-        basis = orthonormal_shift_basis(small_params, cov=small_cov, n_trunc=8)
-        assert len(basis) == 8
-        gram = np.array(
-            [[np.sum(a.w * b.k[1:]) for b in basis] for a in basis]
-        )
-        assert np.max(np.abs(gram - np.eye(8))) < 1e-8
-
-    def test_first_direction_is_scaled_covariance_column(
-        self, small_params, small_cov
-    ):
-        basis = orthonormal_shift_basis(small_params, cov=small_cov, n_trunc=2)
-        root = np.sqrt(small_cov.sigma[0, 0])
-        assert np.allclose(basis[0].k[1:, 0], small_cov.sigma[:, 0] / root, atol=1e-12)
-        assert np.all(basis[0].k[:, 1] == 0.0)
-        # second direction lives in component 1 (round-robin)
-        assert np.all(basis[1].k[:, 0] == 0.0)
-
-    def test_truncation_bound(self):
-        p = ModelParams(N=4, d=1)
-        with pytest.raises(ValueError, match="truncation"):
-            orthonormal_shift_basis(p, cov=GridCovariance(p), n_trunc=4)
-
-    def test_parseval_completeness(self):
-        # the full basis resolves the kernel diagonal: sum_n k_n(t)^2 = t^{2H}
-        for H in (0.5, 0.7):
-            p = ModelParams(H=H, d=1, N=9)
-            cov = GridCovariance(p)
-            basis = orthonormal_shift_basis(p, cov=cov, n_trunc=8)
-            total = sum(s.k[:, 0] ** 2 for s in basis)
-            t = cov.grid.points
-            assert np.allclose(total, t ** (2 * H), rtol=1e-8, atol=1e-10)
-
-
 class TestDirichletForm:
-    def test_symmetry_is_bitwise(self, small_params, small_cov, small_ensemble):
-        basis = orthonormal_shift_basis(small_params, cov=small_cov, n_trunc=6)
+    def test_symmetry_is_bitwise(self, small_cov, small_ensemble):
         for s in range(6):
             r = np.random.default_rng(s)
             f = random_cylinder(r, small_cov.grid, 2)
             h = random_cylinder(r, small_cov.grid, 2)
-            vfh = dirichlet_form(f, h, small_ensemble, basis)
-            vhf = dirichlet_form(h, f, small_ensemble, basis)
+            vfh = dirichlet_form(f, h, small_ensemble, cov=small_cov)
+            vhf = dirichlet_form(h, f, small_ensemble, cov=small_cov)
             assert vfh == vhf
 
-    def test_nonnegative_on_diagonal(self, small_params, small_cov, small_ensemble):
-        basis = orthonormal_shift_basis(small_params, cov=small_cov, n_trunc=6)
+    def test_nonnegative_on_diagonal(self, small_cov, small_ensemble):
         for s in range(6):
             f = random_cylinder(np.random.default_rng(s), small_cov.grid, 2)
-            val, _ = dirichlet_form(f, f, small_ensemble, basis)
+            val, _ = dirichlet_form(f, f, small_ensemble, cov=small_cov)
             assert val >= 0.0
 
-    def test_constant_function_gives_zero(self, small_params, small_cov, small_ensemble):
-        basis = orthonormal_shift_basis(small_params, cov=small_cov, n_trunc=4)
+    def test_constant_function_gives_zero(self, small_cov, small_ensemble):
         const = CylinderFunction(
             weights=coordinate_functional(small_cov.grid, 2, 9, 0)[None],
             fn=make_linear([0.0], 3.0),
         )
         other = random_cylinder(np.random.default_rng(1), small_cov.grid, 2)
-        val, se = dirichlet_form(const, other, small_ensemble, basis)
+        val, se = dirichlet_form(const, other, small_ensemble, cov=small_cov)
         assert val == 0.0 and se == 0.0
 
-    def test_bilinear_in_linear_arguments(self, small_params, small_cov, small_ensemble):
-        basis = orthonormal_shift_basis(small_params, cov=small_cov, n_trunc=6)
+    def test_bilinear_in_linear_arguments(self, small_cov, small_ensemble):
         w = np.stack(
             [
                 coordinate_functional(small_cov.grid, 2, 20, 0),
@@ -254,27 +218,68 @@ class TestDirichletForm:
         f1 = CylinderFunction(weights=w, fn=make_linear(a1))
         f2 = CylinderFunction(weights=w, fn=make_linear(a2))
         f12 = CylinderFunction(weights=w, fn=make_linear(a1 + a2))
-        v1, _ = dirichlet_form(f1, h, small_ensemble, basis)
-        v2, _ = dirichlet_form(f2, h, small_ensemble, basis)
-        v12, _ = dirichlet_form(f12, h, small_ensemble, basis)
+        v1, _ = dirichlet_form(f1, h, small_ensemble, cov=small_cov)
+        v2, _ = dirichlet_form(f2, h, small_ensemble, cov=small_cov)
+        v12, _ = dirichlet_form(f12, h, small_ensemble, cov=small_cov)
         assert abs(v12 - (v1 + v2)) < 1e-10 * max(1.0, abs(v1 + v2))
 
-    def test_linear_functional_value_is_exact(self, small_cov):
-        # for linear f the summand is path-independent: the form equals
-        # sum_n l(k_n)^2 no matter the weights; with the full basis this is
-        # the Parseval value K(t_j, t_j) = t_j^{2H}
-        p = ModelParams(H=0.5, d=1, N=9, g=0.1, seed=2)
-        cov = GridCovariance(p)
-        ens = edwards_ensemble(p, 64, LadderConfig(0.1, 4), cov=cov)
-        basis = orthonormal_shift_basis(p, cov=cov, n_trunc=8)
-        j = 5
-        fcn = CylinderFunction(
-            weights=coordinate_functional(cov.grid, 1, j, 0)[None],
-            fn=make_linear([1.0]),
-        )
-        val, se = dirichlet_form(fcn, fcn, ens, basis)
-        direct = sum(fcn.z(s.k)[0] ** 2 for s in basis)
-        t_j = cov.grid.points[j]
-        assert abs(val - direct) < 1e-12
-        assert abs(val - t_j) < 1e-8  # t^{2H} with H = 1/2
-        assert se < 1e-12
+    def test_linear_functional_value_is_exact(self):
+        # for linear f the summand is path-independent: |grad f|_CM^2 is the
+        # kernel diagonal K(t_j, t_j) = t_j^{2H} no matter the weights
+        for H in (0.5, 0.7):
+            p = ModelParams(H=H, d=1, N=9, g=0.1, seed=2)
+            cov = GridCovariance(p)
+            ens = edwards_ensemble(p, 64, LadderConfig(0.1, 4), cov=cov)
+            for j in range(1, 9):
+                fcn = CylinderFunction(
+                    weights=coordinate_functional(cov.grid, 1, j, 0)[None],
+                    fn=make_linear([1.0]),
+                )
+                val, se = dirichlet_form(fcn, fcn, ens, cov=cov)
+                assert abs(val - cov.grid.points[j] ** (2 * H)) < 1e-12
+                assert se < 1e-12
+
+    def test_default_cov_and_grid_check(self, small_params, small_cov, small_ensemble):
+        f = random_cylinder(np.random.default_rng(3), small_cov.grid, 2)
+        own = dirichlet_form(f, f, small_ensemble)
+        assert own == dirichlet_form(f, f, small_ensemble, cov=small_cov)
+        other = GridCovariance(replace(small_params, T=2.0))
+        with pytest.raises(ValueError, match="grid"):
+            dirichlet_form(f, f, small_ensemble, cov=other)
+
+
+def _reference_form(f, h, ens, cov):
+    """Per path grad phi_f^T (W_f^T sigma W_h) grad phi_h, from sigma itself
+    rather than its factor."""
+    gram = np.einsum("ijc,jk,lkc->il", f.weights[:, 1:], cov.sigma, h.weights[:, 1:])
+    per_path = np.einsum(
+        "mi,il,ml->m", f.grad_coeffs(ens.values), gram, h.grad_coeffs(ens.values)
+    )
+    return ens.expectation(per_path)[0]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(
+    H=st.floats(0.05, 0.95),
+    d=st.integers(1, 3),
+    n=st.integers(3, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_form_properties(H, d, n, seed):
+    p = ModelParams(H=H, d=d, N=n, g=0.1, seed=seed)
+    cov = GridCovariance(p)
+    ens = edwards_ensemble(p, 16, LadderConfig(0.1, 4), cov=cov)
+    rng = np.random.default_rng(seed)
+    f = random_cylinder(rng, cov.grid, d, n_args=int(rng.integers(1, 4)))
+    h = random_cylinder(rng, cov.grid, d, n_args=int(rng.integers(1, 4)))
+    fh = dirichlet_form(f, h, ens, cov=cov)
+    assert fh == dirichlet_form(h, f, ens, cov=cov)
+    ff, _ = dirichlet_form(f, f, ens, cov=cov)
+    hh, _ = dirichlet_form(h, h, ens, cov=cov)
+    assert ff >= 0.0 and hh >= 0.0
+    # relative to the Cauchy-Schwarz bound sqrt(E(f, f) E(h, h)) of |E(f, h)|
+    scale = np.sqrt(ff * hh)
+    assert abs(fh[0] - _reference_form(f, h, ens, cov)) <= 1e-12 * scale
+    assert abs(ff - _reference_form(f, f, ens, cov)) <= 1e-12 * ff
+    const = CylinderFunction(weights=f.weights, fn=make_linear(np.zeros(f.n_args), 1.5))
+    assert dirichlet_form(const, h, ens, cov=cov) == (0.0, 0.0)

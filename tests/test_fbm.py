@@ -152,6 +152,17 @@ class TestSampleBatch:
         one = sample_fbm_batch(p, 1, cov=cov, stream_offset=5)
         assert np.array_equal(full[5], one[0])
         assert np.array_equal(full[256], sample_fbm_batch(p, 257, cov=cov)[256])
+        # a chunk whose column count P*d is not a multiple of 8 gets the same
+        # bits as a full chunk, also where BLAS would take a tail kernel
+        p = ModelParams(N=256, d=2, seed=99)
+        cov = GridCovariance(p)
+        full = sample_fbm_batch(p, 300, cov=cov)
+        assert np.array_equal(full[96], sample_fbm_batch(p, 97, cov=cov)[96])
+        p = ModelParams(N=256, d=3, seed=99)
+        cov = GridCovariance(p)
+        full = sample_fbm_batch(p, 300, cov=cov)
+        for m in (1, 3, 5, 7, 97, 257):
+            assert np.array_equal(full[:m], sample_fbm_batch(p, m, cov=cov)), m
 
     def test_matches_single_path_sampler(self):
         for d in (1, 2, 3):

@@ -23,6 +23,7 @@ from edwardsim import (
     sample_fbm_batch,
     sigma_matrix,
     silt_raw_batch,
+    silt_raw_shifted,
 )
 from edwardsim.silt import LadderConfig
 
@@ -338,6 +339,48 @@ class TestContinuityScan:
         assert stats.shape == (6, 4)
         assert stats[0, 3] == 0.0
         assert np.all(stats[:, 1] <= stats[:, 2])
+        # the log-density form of the relative jump between adjacent u; the
+        # difference of densities near 1 carries an absolute rounding error
+        a = scan.densities
+        direct = np.abs(np.diff(a, axis=1)) / np.maximum(a[:, 1:], a[:, :-1])
+        assert np.allclose(scan.jumps, direct, rtol=1e-12, atol=1e-14)
+        assert np.array_equal(stats[1:, 3], scan.jumps.max(axis=0))
+        assert np.array_equal(scan.max_jump, scan.jumps.max(axis=1))
+
+    def test_jumps_stay_finite_where_densities_underflow(self, small_params, small_cov):
+        # far along the shift adjacent densities are both 0 in double
+        # precision; the relative jump must not become 0/0
+        vals = sample_fbm_batch(small_params, 8, cov=small_cov)
+        sh = builtin_shift("linear", small_params, cov=small_cov)
+        scan = continuity_scan(
+            sh, np.linspace(0.0, 60.0, 21), vals, small_cov.grid, 0.02, g=small_params.g
+        )
+        a = scan.densities
+        assert np.any((a[:, 1:] == 0.0) & (a[:, :-1] == 0.0))
+        assert np.all(np.isfinite(scan.jumps))
+        assert np.all((scan.jumps >= 0.0) & (scan.jumps <= 1.0))
+        assert np.all(np.isfinite(scan.per_u_stats())) and np.isfinite(scan.q95)
+
+    def test_unshifted_silt_runs_once(self, small_params, small_cov, monkeypatch):
+        # the u = 0 entry of the grid doubles as the unshifted base row
+        import edwardsim.moments as moments
+
+        families = []
+
+        def spy(values, grid, k, us, epsilons, *, threads=1):
+            families.append(np.asarray(us, dtype=float).copy())
+            return silt_raw_shifted(values, grid, k, us, epsilons, threads=threads)
+
+        monkeypatch.setattr(moments, "silt_raw_shifted", spy)
+        vals = sample_fbm_batch(small_params, 6, cov=small_cov)
+        sh = builtin_shift("sine", small_params, cov=small_cov)
+        u_grid = np.linspace(0.0, 1.0, 6)
+        scan = continuity_scan(sh, u_grid, vals, small_cov.grid, 0.05, g=0.1)
+        assert len(families) == 1 and families[0].size == u_grid.size
+        assert np.array_equal(scan.densities[:, 0], np.ones(6))
+        # a grid without 0 puts the base row in front of the family
+        density_process_batch(sh, 0.5, vals, small_cov.grid, 0.05, g=0.1)
+        assert families[1].tolist() == [0.0, -0.5]
 
     def test_densities_match_density_process_batch(self, small_params, small_cov):
         # the scan computes the unshifted SILT once; the values must not move
