@@ -194,7 +194,12 @@ def _cmd_density_scan(cfg: RunConfig, args, outdir: Path) -> list[Path]:
         threads=cfg.threads,
     )
     table = outdir / "density_scan.csv"
-    _write_csv(table, ["u", "a_min", "a_max", "max_jump"], scan.per_u_stats(), "%.17g")
+    _write_csv(
+        table,
+        ["u", "a_min", "a_max", "max_jump", "log_a_min", "log_a_max"],
+        scan.per_u_stats(),
+        "%.17g",
+    )
     summary = outdir / "density_scan.json"
     _json_dump(
         summary,

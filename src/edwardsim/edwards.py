@@ -106,7 +106,6 @@ def edwards_ensemble(
     cov: GridCovariance | None = None,
     stream_offset: int = 0,
     threads: int = 1,
-    method: str = "cholesky",
 ) -> WeightedEnsemble:
     """Sample M paths on index-derived streams and weight them by
     exp(-g * lc) at the bottom of the eps ladder."""
@@ -114,9 +113,7 @@ def edwards_ensemble(
         ladder = LadderConfig()
     if cov is None:
         cov = GridCovariance(params)
-    values = sample_fbm_batch(
-        params, m, cov=cov, stream_offset=stream_offset, threads=threads, method=method
-    )
+    values = sample_fbm_batch(params, m, cov=cov, stream_offset=stream_offset, threads=threads)
     eps = ladder.epsilons
     _, _, lc_ladder = centered_ladder(values, params, cov.grid, eps, threads=threads)
     lc = lc_ladder[:, -1]

@@ -4,14 +4,14 @@ The covariance of one component is
 
     cov_h(H, t, s) = 0.5 * (t^{2H} + s^{2H} - |t - s|^{2H}),
 
-and the d components are independent copies. Sampling is exact: the grid
-covariance (t_0 = 0 excluded, where the path is pinned to zero) is factored
-once by a dense Cholesky decomposition and reused for every path and every
-component. A circulant-embedding (Davies-Harte) backend for the increment
-process needs no factor and suits large N; it produces the same law and is
-checked against the Cholesky marginals in the test suite. Single paths and
-batches share one draw routine: one product with the factor, or one
-spectrum and one batched FFT, per chunk of paths.
+and the d components are independent copies. Sampling is exact, and the grid
+size N alone picks the route: from _CIRCULANT_MIN_N upward circulant
+embedding (Davies & Harte 1987), which needs no factor; below it a dense
+Cholesky factor of the grid covariance (t_0 = 0 excluded, where the path is
+pinned to zero), shared by every path and component. The covariance and its
+factor are built on first use. Single paths and batches share one draw
+routine: one product with the factor, or one spectrum and one batched FFT,
+per chunk of paths.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -26,17 +27,13 @@ import scipy.linalg
 from .params import ModelParams, TimeGrid, make_grid
 from .rng import stream
 
-__all__ = [
-    "cov_h",
-    "build_covariance",
-    "GridCovariance",
-    "FbmPath",
-    "sample_fbm",
-    "sample_fbm_batch",
-]
+__all__ = ["cov_h", "build_covariance", "GridCovariance", "FbmPath", "sample_fbm", "sample_fbm_batch"]
 
-# sampling methods of sample_fbm and sample_fbm_batch
-_METHODS = ("cholesky", "davies-harte")
+# Smallest grid size N drawn by circulant embedding; smaller grids use the
+# Cholesky factor. sample_fbm_batch through a fresh GridCovariance, factor
+# counted (2 cores): at N = 2048 circulant loses at M = 1024 (999 against
+# 761 ms), at N = 3072 it ties there (1231 ms each) and wins at M <= 64.
+_CIRCULANT_MIN_N = 3072
 # Cholesky normals are zero-padded to a multiple of this many columns: BLAS
 # rounds a trailing partial block of 8 columns (and numpy a lone column)
 # differently, which would make a replica's bits depend on its chunk.
@@ -92,10 +89,11 @@ def _cholesky_with_jitter(sigma: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 class GridCovariance:
-    """Grid covariance of one fBm component with a cached Cholesky factor.
+    """Grid covariance of one fBm component and its Cholesky factor.
 
     Shared across the d components and across paths; also provides the
     linear solves used by Cameron-Martin weights and the path sampler.
+    `sigma`, `chol` and `jittered` are built on first access and cached.
     """
 
     def __init__(self, params: ModelParams, grid: TimeGrid | None = None):
@@ -103,8 +101,22 @@ class GridCovariance:
         self.grid = make_grid(params) if grid is None else grid
         if self.grid.n != params.N:
             raise ValueError("grid size does not match params.N")
-        self.sigma = build_covariance(params, self.grid)
-        self.chol, self.jittered = _cholesky_with_jitter(self.sigma)
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        return build_covariance(self.params, self.grid)
+
+    @cached_property
+    def _factor(self) -> tuple[np.ndarray, bool]:
+        return _cholesky_with_jitter(self.sigma)
+
+    @cached_property
+    def chol(self) -> np.ndarray:
+        return self._factor[0]
+
+    @cached_property
+    def jittered(self) -> bool:
+        return self._factor[1]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve sigma @ x = b via the cached factor."""
@@ -113,15 +125,13 @@ class GridCovariance:
     def factor_residual(self) -> float:
         """Relative Frobenius error of L L^T against sigma."""
         rec = self.chol @ self.chol.T
-        return float(
-            np.linalg.norm(rec - self.sigma) / np.linalg.norm(self.sigma)
-        )
+        return float(np.linalg.norm(rec - self.sigma) / np.linalg.norm(self.sigma))
 
 
 @dataclass(eq=False)
 class FbmPath:
     """One sampled path: grid, values (N, d) with values[0] = 0, and the
-    covariance object whose factor generated it."""
+    grid covariance it was drawn from."""
 
     grid: TimeGrid
     values: np.ndarray
@@ -147,28 +157,34 @@ class FbmPath:
 # ---------------------------------------------------------------- samplers #
 
 
+def _sampling_factor(cov: GridCovariance) -> np.ndarray | None:
+    """The Cholesky factor that draws on cov's grid, or None where the grid
+    takes circulant embedding. The choice reads N only, so a replica's bits
+    do not depend on its batch, and the factor is built before any chunk."""
+    return None if cov.grid.n >= _CIRCULANT_MIN_N else cov.chol
+
+
 def _draw(
     params: ModelParams,
     grid: TimeGrid,
     chol: np.ndarray | None,
     rngs: list[np.random.Generator],
-    method: str,
 ) -> np.ndarray:
     """Values (P, N-1, d) at t_1..t_{N-1}, one path per generator in `rngs`.
 
     Each path draws its normals from its own generator, and one product
-    (Cholesky) or one FFT (Davies-Harte) serves the whole list, so a path
-    gets the same bits whatever list it is drawn in. `method` is one of
-    _METHODS, checked by the caller.
+    with `chol` (or, when it is None, one circulant FFT) serves the whole
+    list, so a path gets the same bits whatever list it is drawn in.
     """
     n, d, p = grid.n - 1, params.d, len(rngs)
-    if method == "cholesky":
+    if chol is not None:
         # column j*d + c holds component c of path j
         z = np.stack([r.standard_normal((n, d)) for r in rngs], axis=1).reshape(n, p * d)
         if pad := -(p * d) % _GEMM_COLUMNS:
             z = np.pad(z, ((0, 0), (0, pad)))
         return (chol @ z)[:, : p * d].reshape(n, p, d).transpose(1, 0, 2)
-    # Circulant embedding of unit-spacing fractional Gaussian noise. The
+    # Circulant embedding of unit-spacing fractional Gaussian noise, scaled
+    # by spacing^H (exact by self-similarity on a uniform grid). The
     # spectrum is clipped at zero where it undershoots by rounding only; a
     # genuinely negative spectrum is an error. The first row of the
     # circulant is [gamma(0..n), gamma(n-1..1)] (Davies & Harte 1987).
@@ -198,22 +214,18 @@ def sample_fbm(
     rng: np.random.Generator | None = None,
     *,
     cov: GridCovariance | None = None,
-    method: str = "cholesky",
 ) -> FbmPath:
     """Draw one path with d independent components, pinned to 0 at t_0.
 
-    `rng` defaults to stream(params.seed, 0). With method="cholesky" the
-    draw is values[1:] = L @ z, one (N-1, d) normal block per path. With
-    method="davies-harte" the increments come from the circulant embedding
-    and are scaled by spacing^H (exact by self-similarity on a uniform grid).
+    `rng` defaults to stream(params.seed, 0); the grid size picks the
+    sampling route (see the module notes).
     """
-    _check_method(method)
     if cov is None:
         cov = GridCovariance(params, grid)
     if rng is None:
         rng = stream(params.seed, 0)
     values = np.zeros((cov.grid.n, params.d))
-    values[1:] = _draw(params, cov.grid, cov.chol, [rng], method)[0]
+    values[1:] = _draw(params, cov.grid, _sampling_factor(cov), [rng])[0]
     return FbmPath(grid=cov.grid, values=values, cov=cov)
 
 
@@ -222,39 +234,26 @@ def sample_fbm_batch(
     m: int,
     *,
     cov: GridCovariance | None = None,
-    grid: TimeGrid | None = None,
     stream_offset: int = 0,
     threads: int = 1,
-    method: str = "cholesky",
 ) -> np.ndarray:
     """M paths as one (M, N, d) array.
 
     Replica i draws from stream(params.seed, stream_offset + i), so any
     subset of replicas reproduces bit-identically no matter how the batch is
-    chunked or threaded. method="davies-harte" without `cov` builds only
-    the grid, no covariance factor.
+    chunked or threaded.
     """
-    _check_method(method)
-    if cov is not None:
-        grid, chol = cov.grid, cov.chol
-    elif method == "davies-harte":
-        grid, chol = make_grid(params) if grid is None else grid, None
-    else:
-        cov = GridCovariance(params, grid)
-        grid, chol = cov.grid, cov.chol
-    out = np.zeros((m, grid.n, params.d))
+    if cov is None:
+        cov = GridCovariance(params)
+    chol = _sampling_factor(cov)
+    out = np.zeros((m, cov.grid.n, params.d))
 
     def fill(lo: int, hi: int) -> None:
         rngs = [stream(params.seed, stream_offset + i) for i in range(lo, hi)]
-        out[lo:hi, 1:] = _draw(params, grid, chol, rngs, method)
+        out[lo:hi, 1:] = _draw(params, cov.grid, chol, rngs)
 
     _map_chunks(_chunk_bounds(m), fill, threads)
     return out
-
-
-def _check_method(method: str) -> None:
-    if method not in _METHODS:
-        raise ValueError(f"unknown sampling method {method!r}; known: {', '.join(_METHODS)}")
 
 
 def _chunk_bounds(m: int, target: int = 256) -> list[tuple[int, int]]:

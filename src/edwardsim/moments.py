@@ -425,17 +425,25 @@ def _log_densities(
 class ContinuityScan:
     """Density process evaluated on a u grid for a fixed path set.
 
-    jumps[m, i] is path m's relative jump |a_{i+1} - a_i| / max(a_i, a_{i+1})
-    between adjacent u values, computed from the log-densities as
-    1 - exp(-|log a_{i+1} - log a_i|), so it stays finite where both
-    densities underflow to 0. max_jump is its maximum per path and q95 the
-    95th percentile of that over paths. Halving the u step should about
-    halve q95 when the density is continuous in u.
+    log_densities[m, i] is path m's log density at u_grid[i]; it stays
+    finite where the density underflows to 0. jumps[m, i] is the relative
+    jump |a_{i+1} - a_i| / max(a_i, a_{i+1}) between adjacent u values,
+    computed from the log-densities as 1 - exp(-|log a_{i+1} - log a_i|).
+    max_jump is its maximum per path and q95 the 95th percentile of that
+    over paths. Halving the u step should about halve q95 when the density
+    is continuous in u.
     """
 
     u_grid: np.ndarray
-    densities: np.ndarray
-    jumps: np.ndarray
+    log_densities: np.ndarray
+
+    @property
+    def densities(self) -> np.ndarray:
+        return np.exp(self.log_densities)
+
+    @property
+    def jumps(self) -> np.ndarray:
+        return -np.expm1(-np.abs(np.diff(self.log_densities, axis=1)))
 
     @property
     def max_jump(self) -> np.ndarray:
@@ -446,13 +454,15 @@ class ContinuityScan:
         return float(np.quantile(self.max_jump, 0.95))
 
     def per_u_stats(self) -> np.ndarray:
-        """Rows (u, a_min, a_max, max_jump_into_u) for reporting."""
-        a = self.densities
-        out = np.zeros((self.u_grid.size, 4))
+        """Rows (u, a_min, a_max, max_jump_into_u, log_a_min, log_a_max)."""
+        a, log_a = self.densities, self.log_densities
+        out = np.zeros((self.u_grid.size, 6))
         out[:, 0] = self.u_grid
         out[:, 1] = a.min(axis=0)
         out[:, 2] = a.max(axis=0)
         out[1:, 3] = self.jumps.max(axis=0)
+        out[:, 4] = log_a.min(axis=0)
+        out[:, 5] = log_a.max(axis=0)
         return out
 
 
@@ -471,5 +481,4 @@ def continuity_scan(
     if u_grid.size < 3:
         raise ValueError("u grid needs at least 3 points")
     log_dens = _log_densities(shift, u_grid, values, grid, eps, g, threads)
-    jumps = -np.expm1(-np.abs(np.diff(log_dens, axis=1)))
-    return ContinuityScan(u_grid=u_grid, densities=np.exp(log_dens), jumps=jumps)
+    return ContinuityScan(u_grid=u_grid, log_densities=log_dens)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["ModelParams", "TimeGrid", "make_grid"]
+
 # Width of the window around H*d = 1 treated as "on the critical line".
 HD_REGIME_TOL = 1e-12
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["stream"]
+
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Generator for replica `index`, keyed by (seed, index)."""

@@ -243,8 +243,9 @@ class TestCliAnalyses:
         assert _run(argv) == 0
         sub = out / "density-scan"
         table = np.loadtxt(sub / "density_scan.csv", delimiter=",", skiprows=1)
-        assert table.shape == (5, 4)
+        assert table.shape == (5, 6)
         assert table[0, 0] == 0.0 and table[0, 3] == 0.0
+        assert table[0, 4] == 0.0 and table[0, 5] == 0.0
         assert np.allclose(table[:, 0], np.linspace(0.0, 0.5, 5))
         summary = json.loads((sub / "density_scan.json").read_text())
         assert summary["n_u"] == 5 and summary["paths"] == 16
@@ -343,6 +344,21 @@ class TestCliFailures:
         assert np.any(table[:, 2] == 0.0)
         assert np.all(np.isfinite(table))
         assert np.isfinite(json.loads((sub / "density_scan.json").read_text())["q95_max_jump"])
+
+    def test_density_scan_reports_log_densities_past_underflow(self, outdir):
+        # where a_min underflows to 0, log_a_min still says how small it is
+        out = outdir / "x"
+        argv = ["density-scan", "--n", "64", "--paths", "8", "--u-max", "60", "--out", str(out)]
+        assert _run(argv) == 0
+        path = out / "density-scan" / "density_scan.csv"
+        header = path.read_text().splitlines()[0]
+        assert header == "u,a_min,a_max,max_jump,log_a_min,log_a_max"
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        gone = table[:, 1] == 0.0
+        assert np.any(gone)
+        assert np.all(np.isfinite(table[:, 4:]))
+        assert np.all(table[gone, 4] < -745.0)
+        assert np.array_equal(np.exp(table[:, 4:]), table[:, 1:3])
 
     def test_unknown_shift_exits_1(self, outdir):
         argv = [

@@ -12,7 +12,10 @@ from edwardsim import (
     sample_fbm_batch,
     stream,
 )
-from edwardsim.fbm import _cholesky_with_jitter, build_covariance
+from edwardsim.fbm import _CIRCULANT_MIN_N, _cholesky_with_jitter, build_covariance
+
+# patched to a small N, this sends every grid to the circulant route
+CIRCULANT_MIN_N = "edwardsim.fbm._CIRCULANT_MIN_N"
 
 
 class TestCovH:
@@ -86,6 +89,20 @@ class TestGridCovariance:
         x = small_cov.solve(b)
         assert np.allclose(small_cov.sigma @ x, b, rtol=1e-9, atol=1e-12)
 
+    def test_factor_built_once_on_first_use(self, monkeypatch):
+        calls = []
+
+        def counting(sigma):
+            calls.append(sigma.shape)
+            return _cholesky_with_jitter(sigma)
+
+        monkeypatch.setattr("edwardsim.fbm._cholesky_with_jitter", counting)
+        cov = GridCovariance(ModelParams(N=32))
+        assert calls == [] and "sigma" not in vars(cov)
+        cov.solve(np.ones(31))
+        assert not cov.jittered and cov.chol.shape == (31, 31)
+        assert calls == [(31, 31)]
+
     def test_grid_size_mismatch(self):
         p = ModelParams(N=16)
         with pytest.raises(ValueError, match="grid size"):
@@ -123,14 +140,11 @@ class TestSampleFbm:
         b = sample_fbm(small_params, cov=small_cov, rng=stream(small_params.seed, 0))
         assert np.array_equal(a.values, b.values)
 
-    def test_unknown_method(self, small_params, small_cov):
-        with pytest.raises(ValueError, match="method"):
-            sample_fbm(small_params, cov=small_cov, method="spectral")
-
-    def test_davies_harte_shape_and_determinism(self):
+    def test_davies_harte_shape_and_determinism(self, monkeypatch):
+        monkeypatch.setattr(CIRCULANT_MIN_N, 2)
         p = ModelParams(H=0.7, N=33, d=2, seed=5)
-        a = sample_fbm(p, method="davies-harte", rng=stream(5, 0))
-        b = sample_fbm(p, method="davies-harte", rng=stream(5, 0))
+        a = sample_fbm(p, rng=stream(5, 0))
+        b = sample_fbm(p, rng=stream(5, 0))
         assert a.values.shape == (33, 2)
         assert np.all(a.values[0] == 0.0)
         assert np.array_equal(a.values, b.values)
@@ -164,15 +178,16 @@ class TestSampleBatch:
         for m in (1, 3, 5, 7, 97, 257):
             assert np.array_equal(full[:m], sample_fbm_batch(p, m, cov=cov)), m
 
-    def test_matches_single_path_sampler(self):
+    def test_matches_single_path_sampler(self, monkeypatch):
         for d in (1, 2, 3):
             p = ModelParams(H=0.7, N=33, d=d, seed=99)
             cov = GridCovariance(p)
-            for method in ("cholesky", "davies-harte"):
-                batch = sample_fbm_batch(p, 3, cov=cov, method=method)
+            for min_n in (_CIRCULANT_MIN_N, 2):
+                monkeypatch.setattr(CIRCULANT_MIN_N, min_n)
+                batch = sample_fbm_batch(p, 3, cov=cov)
                 for i in range(3):
-                    one = sample_fbm(p, cov=cov, rng=stream(p.seed, i), method=method)
-                    assert np.array_equal(batch[i], one.values), (d, method, i)
+                    one = sample_fbm(p, cov=cov, rng=stream(p.seed, i))
+                    assert np.array_equal(batch[i], one.values), (d, min_n, i)
 
     def test_thread_count_invariance(self):
         # chunk boundaries are fixed, so the thread count cannot change bits
@@ -182,35 +197,27 @@ class TestSampleBatch:
         b = sample_fbm_batch(p, 600, cov=cov, threads=3)
         assert np.array_equal(a, b)
 
-    def test_davies_harte_batch(self):
+    def test_davies_harte_batch(self, monkeypatch):
+        monkeypatch.setattr(CIRCULANT_MIN_N, 2)
         p = ModelParams(H=0.3, N=33, d=1, seed=11)
-        a = sample_fbm_batch(p, 5, method="davies-harte", grid=make_grid(p))
-        b = sample_fbm_batch(p, 3, method="davies-harte", grid=make_grid(p), stream_offset=2)
+        a = sample_fbm_batch(p, 5)
+        b = sample_fbm_batch(p, 3, stream_offset=2)
         assert a.shape == (5, 33, 1)
         assert np.array_equal(a[2:], b)
 
-    def test_rejects_unknown_method_before_any_work(self, small_params, monkeypatch):
-        # an empty batch draws nothing, and without `cov` no factor is built
-        with pytest.raises(ValueError, match="method"):
-            sample_fbm_batch(small_params, 0, method="bogus")
-
-        def refuse(sigma):
-            raise AssertionError("factor built for an unknown method")
-
-        monkeypatch.setattr("edwardsim.fbm._cholesky_with_jitter", refuse)
-        with pytest.raises(ValueError, match="method"):
-            sample_fbm_batch(small_params, 4, method="bogus")
-
     def test_davies_harte_builds_no_factor(self, monkeypatch):
-        def refuse(sigma):
-            raise AssertionError("circulant sampling must not factor the covariance")
+        # from the real threshold upward nothing builds sigma or its factor
+        def refuse(*args):
+            raise AssertionError("circulant sampling must not build the covariance")
 
+        monkeypatch.setattr("edwardsim.fbm.build_covariance", refuse)
         monkeypatch.setattr("edwardsim.fbm._cholesky_with_jitter", refuse)
-        p = ModelParams(H=0.7, N=65, d=2, seed=4)
-        for grid in (None, make_grid(p)):
-            x = sample_fbm_batch(p, 3, grid=grid, method="davies-harte")
-            assert x.shape == (3, 65, 2)
-            assert np.all(x[:, 0] == 0.0)
+        p = ModelParams(H=0.7, N=_CIRCULANT_MIN_N, d=2, seed=4)
+        GridCovariance(p)
+        assert np.all(sample_fbm(p).values[0] == 0.0)
+        x = sample_fbm_batch(p, 3)
+        assert x.shape == (3, _CIRCULANT_MIN_N, 2)
+        assert np.all(x[:, 0] == 0.0)
 
 
 class TestSamplerStatistics:
@@ -261,13 +268,14 @@ class TestSamplerStatistics:
         se = prod.std(ddof=1) / np.sqrt(self.M)
         assert abs(prod.mean()) <= 5.0 * se
 
-    def test_davies_harte_matches_cholesky_law(self):
+    def test_davies_harte_matches_cholesky_law(self, monkeypatch):
         # same covariance structure from both backends, checked at 3 pairs,
-        # for anti- and positively correlated increments and for H near 1
-        for H, seed in ((0.3, 2024), (0.7, 11), (0.95, 5)):
+        # for anti- and positively correlated increments and for H near 0 and 1
+        monkeypatch.setattr(CIRCULANT_MIN_N, 2)
+        for H, seed in ((0.05, 7), (0.3, 2024), (0.7, 11), (0.95, 5)):
             p = ModelParams(H=H, N=33, d=1, seed=seed)
             cov = GridCovariance(p)
-            x = sample_fbm_batch(p, self.M, method="davies-harte", grid=cov.grid)
+            x = sample_fbm_batch(p, self.M, cov=cov)
             t = cov.grid.points
             for i, j in [(32, 32), (8, 24), (16, 32)]:
                 prod = x[:, i, 0] * x[:, j, 0]

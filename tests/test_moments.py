@@ -336,9 +336,12 @@ class TestContinuityScan:
         assert scan.max_jump.shape == (20,)
         assert np.all(scan.max_jump >= 0.0)
         stats = scan.per_u_stats()
-        assert stats.shape == (6, 4)
+        assert stats.shape == (6, 6)
         assert stats[0, 3] == 0.0
         assert np.all(stats[:, 1] <= stats[:, 2])
+        assert np.array_equal(stats[:, 4], scan.log_densities.min(axis=0))
+        assert np.array_equal(stats[:, 5], scan.log_densities.max(axis=0))
+        assert np.array_equal(scan.densities, np.exp(scan.log_densities))
         # the log-density form of the relative jump between adjacent u; the
         # difference of densities near 1 carries an absolute rounding error
         a = scan.densities

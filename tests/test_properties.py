@@ -1,0 +1,91 @@
+"""Property tests over (H, d, N): replica reproducibility on both sampler
+routes, single-path against batch SILT, exact centering of the grid
+expectation, and the cocycle of the Cameron-Martin log density."""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from edwardsim import (
+    GridCovariance,
+    ModelParams,
+    log_gaussian_rn_density,
+    make_grid,
+    make_shift_from_target,
+    sample_fbm_batch,
+    silt_expectation_grid,
+    silt_raw,
+    silt_raw_batch,
+)
+from pair_reference import pair_cache
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=100)
+MODELS = st.builds(
+    ModelParams,
+    H=st.floats(0.05, 0.95),
+    d=st.integers(1, 3),
+    N=st.integers(3, 64),
+    seed=st.integers(0, 2**16),
+)
+EPS = st.floats(1e-3, 1.0)
+
+
+@PROPERTY
+@given(
+    p=MODELS,
+    circulant=st.booleans(),
+    m=st.integers(1, 600),
+    bounds=st.tuples(st.integers(0, 600), st.integers(0, 600)),
+    threads=st.tuples(st.sampled_from([1, 2]), st.sampled_from([1, 2])),
+)
+def test_sub_batch_equals_rows_of_larger_batch(p, circulant, m, bounds, threads):
+    lo, hi = sorted(b % (m + 1) for b in bounds)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("edwardsim.fbm._CIRCULANT_MIN_N", 2 if circulant else p.N + 1)
+        cov = GridCovariance(p)
+        full = sample_fbm_batch(p, m, cov=cov, threads=threads[0])
+        part = sample_fbm_batch(p, hi - lo, cov=cov, stream_offset=lo, threads=threads[1])
+    assert np.array_equal(full[lo:hi], part)
+
+
+@PROPERTY
+@given(p=MODELS, m=st.integers(1, 20), row=st.integers(0, 19), eps=EPS)
+def test_single_path_silt_equals_its_batch_row(p, m, row, eps):
+    cov = GridCovariance(p)
+    values = sample_fbm_batch(p, m, cov=cov)
+    i = row % m
+    batch = silt_raw_batch(values, cov.grid, [eps])[i, 0]
+    single = silt_raw(SimpleNamespace(values=values[i], grid=cov.grid), eps)
+    assert abs(single - batch) <= 1e-12 * abs(batch)
+
+
+@PROPERTY
+@given(p=MODELS, eps=EPS)
+def test_grid_expectation_is_the_pair_sum(p, eps):
+    # E exp(-|dX|^2 / 2 eps) (2 pi eps)^{-d/2} = (2 pi (eps + |t - s|^{2H}))^{-d/2}
+    grid = make_grid(p)
+    i_idx, j_idx, c = pair_cache(p.N)
+    var = (grid.points[j_idx] - grid.points[i_idx]) ** (2.0 * p.H)
+    ref = grid.spacing**2 * np.sum(c * (2.0 * np.pi * (eps + var)) ** (-0.5 * p.d))
+    assert abs(silt_expectation_grid(p, grid, eps) - ref) <= 1e-12 * ref
+
+
+@PROPERTY
+@given(p=MODELS, u=st.floats(-3.0, 3.0), v=st.floats(-3.0, 3.0))
+def test_log_density_cocycle(p, u, v):
+    # log rho_{u+v}(x) = log rho_u(x - v k) + log rho_v(x)
+    cov = GridCovariance(p)
+    r = np.random.default_rng(p.seed)
+    k = np.vstack([np.zeros((1, p.d)), r.standard_normal((p.N - 1, p.d))])
+    shift = make_shift_from_target(p, k=k, cov=cov)
+    x = np.vstack([np.zeros((1, p.d)), r.standard_normal((p.N - 1, p.d))])
+    path = SimpleNamespace(values=x, grid=cov.grid)
+    moved = SimpleNamespace(values=x - v * shift.k, grid=cov.grid)
+    lhs = log_gaussian_rn_density(shift, u + v, path)
+    rhs = log_gaussian_rn_density(shift, u, moved) + log_gaussian_rn_density(shift, v, path)
+    size = abs(u) + abs(v)
+    scale = size * (np.sum(np.abs(shift.w * x[1:])) + size * np.sum(np.abs(shift.w * shift.k[1:])))
+    assert abs(lhs - rhs) <= 1e-12 * scale
