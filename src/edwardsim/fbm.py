@@ -146,11 +146,13 @@ class FbmPath:
         return self.cov.params
 
     def check(self, tol: float = 1e-8) -> None:
+        """Shape and zero start, and, on the Cholesky route, that the factor
+        the path was drawn with reproduces sigma."""
         if self.values.shape != (self.grid.n, self.d):
             raise AssertionError("value array shape does not match grid")
         if np.any(self.values[0] != 0.0):
             raise AssertionError("path must start at 0")
-        if self.cov.factor_residual() > tol:
+        if _sampling_factor(self.cov) is not None and self.cov.factor_residual() > tol:
             raise AssertionError("cached factor does not reproduce sigma")
 
 

@@ -1,5 +1,6 @@
 """Property tests over (H, d, N): replica reproducibility on both sampler
-routes, single-path against batch SILT, exact centering of the grid
+routes, single-path against batch SILT, the shifted SILT family against
+the batch kernel on shifted paths, exact centering of the grid
 expectation, and the cocycle of the Cameron-Martin log density."""
 
 from types import SimpleNamespace
@@ -19,6 +20,7 @@ from edwardsim import (
     silt_expectation_grid,
     silt_raw,
     silt_raw_batch,
+    silt_raw_shifted,
 )
 from pair_reference import pair_cache
 
@@ -60,6 +62,38 @@ def test_single_path_silt_equals_its_batch_row(p, m, row, eps):
     batch = silt_raw_batch(values, cov.grid, [eps])[i, 0]
     single = silt_raw(SimpleNamespace(values=values[i], grid=cov.grid), eps)
     assert abs(single - batch) <= 1e-12 * abs(batch)
+
+
+@PROPERTY
+@given(
+    p=st.builds(
+        ModelParams,
+        H=st.floats(0.05, 0.95),
+        d=st.integers(1, 3),
+        N=st.integers(2, 64),
+        seed=st.integers(0, 2**16),
+    ),
+    m=st.integers(1, 20),
+    us=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+    still=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    eps=EPS,
+)
+def test_shifted_family_rows(p, m, us, still, eps):
+    # N = 2 has no lag block, only the end correction; components flagged
+    # in `still` do not move, so b and c skip them
+    cov = GridCovariance(p)
+    values = sample_fbm_batch(p, m, cov=cov)
+    r = np.random.default_rng(p.seed)
+    steps = r.standard_normal((p.N - 1, p.d)) / np.sqrt(p.N)
+    k = np.vstack([np.zeros((1, p.d)), steps.cumsum(axis=0)])
+    k[:, list(still[: p.d])] = 0.0
+    us = [0.0, *us]
+    out = silt_raw_shifted(values, cov.grid, k, us, [eps])[:, :, 0]
+    assert np.array_equal(out[:, 0], silt_raw_batch(values, cov.grid, [eps])[:, 0])
+    for i, u in enumerate(us):
+        assert np.array_equal(out[:, i], silt_raw_shifted(values, cov.grid, k, [u], [eps])[:, 0, 0])
+        ref = silt_raw_batch(values + u * k, cov.grid, [eps])[:, 0]
+        assert np.all(np.abs(out[:, i] - ref) <= 1e-12 * np.abs(ref))
 
 
 @PROPERTY

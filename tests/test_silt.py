@@ -217,7 +217,10 @@ class TestSiltShifted:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_each_row_is_the_batch_kernel_on_the_shifted_paths(self, d):
         # 300 paths span two chunks; the first eps list is a dyadic
-        # ladder, whose rungs are squared, the second is not
+        # ladder, whose rungs are squared, the second is not. The u = 0 row
+        # is the batch kernel to the bit, each row is its one-u call to the
+        # bit, and the pair geometry a + u (b + u c) rounds differently from
+        # shifting the paths, so shifted rows agree to 1e-12
         p = ModelParams(H=1.0 / d if d > 1 else 0.5, d=d, N=40, seed=8)
         cov = GridCovariance(p)
         vals = sample_fbm_batch(p, 300, cov=cov)
@@ -226,11 +229,20 @@ class TestSiltShifted:
         us = [0.0, -0.7, 0.3, 1.5]
         for eps in ([0.1, 0.05, 0.025], [0.05, 0.02]):
             ref = np.stack([silt_raw_batch(vals + u * k, cov.grid, eps) for u in us], axis=1)
-            assert np.array_equal(ref[:, 0], silt_raw_batch(vals, cov.grid, eps))
             for threads in (1, 2, 3):
                 out = silt_raw_shifted(vals, cov.grid, k, us, eps, threads=threads)
                 assert out.shape == (300, 4, len(eps))
-                assert np.array_equal(out, ref)
+                assert np.array_equal(out[:, 0], silt_raw_batch(vals, cov.grid, eps))
+                for i, u in enumerate(us):
+                    one = silt_raw_shifted(vals, cov.grid, k, [u], eps, threads=threads)
+                    assert np.array_equal(out[:, i], one[:, 0])
+                assert np.all(np.abs(out - ref) <= 1e-12 * np.abs(ref))
+
+    def test_rejects_misshaped_direction(self, small_cov):
+        vals = np.zeros((3, 64, 2))
+        for k in (np.ones((64, 1)), np.ones((63, 2)), np.ones(64)):
+            with pytest.raises(ValueError, match=r"\(N, d\) = \(64, 2\)"):
+                silt_raw_shifted(vals, small_cov.grid, k, [0.5], [0.1])
 
 
 class TestExpectation:
