@@ -213,9 +213,10 @@ class TestSampleBatch:
         monkeypatch.setattr("edwardsim.fbm.build_covariance", refuse)
         monkeypatch.setattr("edwardsim.fbm._cholesky_with_jitter", refuse)
         p = ModelParams(H=0.7, N=_CIRCULANT_MIN_N, d=2, seed=4)
+        GridCovariance(p)
+        assert np.all(sample_fbm(p).values[0] == 0.0)
         cov = GridCovariance(p)
         path = sample_fbm(p, cov=cov)
-        assert np.all(path.values[0] == 0.0)
         # the path check on this route skips the factor residual
         path.check()
         assert "_factor" not in cov.__dict__
