@@ -152,7 +152,7 @@ def make_shift_from_target(
         cov = GridCovariance(params, grid)
     grid = cov.grid
     k = _as_columns(k, grid.n, params.d, "k")
-    if np.any(np.abs(k[0]) > 1e-12):
+    if not np.all(np.abs(k[0]) <= 1e-12):
         raise ValueError("shift target must vanish at t_0")
     k = k.copy()
     k[0] = 0.0

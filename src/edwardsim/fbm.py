@@ -119,8 +119,17 @@ class GridCovariance:
         return self._factor[1]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve sigma @ x = b via the cached factor."""
-        return scipy.linalg.cho_solve((self.chol, True), b)
+        """Solve sigma @ x = b by LAPACK potrs on the cached factor.
+
+        A NaN or inf in b raises ValueError; only b is scanned, since the
+        factor is finite once built."""
+        b = np.asarray(b, dtype=float)
+        if not np.isfinite(b).all():
+            raise ValueError("right-hand side contains NaN or inf")
+        x, info = scipy.linalg.lapack.dpotrs(self.chol, b, lower=1)
+        if info != 0:
+            raise ValueError(f"potrs rejected argument {-info}")
+        return x
 
     def factor_residual(self) -> float:
         """Relative Frobenius error of L L^T against sigma."""

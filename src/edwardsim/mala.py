@@ -22,8 +22,11 @@ with K_ii = 0, and the trapezoid node weights w = (1/2, 1, ..., 1, 1/2):
     L_eps = (scale / 2) w^T K w,
     grad_i L_eps = (scale / eps) w_i [(K (w x))_i - (K w)_i x_i],
 
-with scale = spacing^2 (2 pi eps)^{-d/2}: one x x^T, one exp and one
-product of K with [w, w x] per iteration.
+with scale = spacing^2 (2 pi eps)^{-d/2}. Per iteration: one rank-one
+BLAS product -2 x_c x_c^T per component, one rank-two product
+[|x|^2, 1] [1, |x|^2]^T for the norm sum, one exp and one product of K with
+[w, w x]. Every entry of those products is a single rounding of a
+commutative expression, so K is bit-symmetric whatever tiles the BLAS uses.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .fbm import GridCovariance
 from .params import ModelParams, TimeGrid
@@ -72,20 +76,33 @@ class _Target:
         # mmap and trim thresholds and are faulted in again each iteration
         self._k = np.empty((grid.n, grid.n))
         self._sums = np.empty((grid.n, grid.n))
+        # columns |x_i|^2 and 1: the two factors of the norm sum
+        self._norms = np.ones((grid.n, 2))
 
     def _kernel(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pair kernel K_ij = exp(-|x_i - x_j|^2 / 2 eps) of one path with a
         zero diagonal, and the path centered over the nodes.
 
         Centering keeps |x_i|^2 + |x_j|^2 - 2 x_i . x_j from cancelling
-        against an offset. The squared norms are added to -2 x_i . x_j in one
-        step, so K is as symmetric as the Gram matrix. The next call
-        overwrites K."""
+        against an offset. -2 x x^T is summed from one rank-one product per
+        component (beta = 0, written into the reused buffers), and
+        |x_i|^2 + |x_j|^2 is the rank-two product [|x|^2, 1] [1, |x|^2]^T.
+        Each entry of a rank-one product is one rounded product x_ic x_jc,
+        and each norm sum one rounding of |x_i|^2 + |x_j|^2, so K is
+        bit-symmetric by construction; a single product x (-2 x)^T is not.
+        The next call overwrites K."""
         x = x - x.mean(axis=0)
-        sq = np.einsum("ij,ij->i", x, x)
-        k = np.matmul(x, x.T, out=self._k)
-        k *= -2.0
-        k += np.add.outer(sq, sq, out=self._sums)
+        k, scratch, norms = self._k, self._sums, self._norms
+        # symmetric results, so the C-ordered buffers are written through
+        # their Fortran-ordered transposes
+        for comp in range(x.shape[1]):
+            col = x[:, comp : comp + 1]
+            dgemm(-2.0, col, col, trans_b=1, c=(scratch if comp else k).T, overwrite_c=1)
+            if comp:
+                k += scratch
+        np.einsum("ij,ij->i", x, x, out=norms[:, 0])
+        dgemm(1.0, norms, norms[:, ::-1], trans_b=1, c=scratch.T, overwrite_c=1)
+        k += scratch
         k *= -0.5 / self.eps
         np.exp(k, out=k)
         np.fill_diagonal(k, 0.0)

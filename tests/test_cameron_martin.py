@@ -81,6 +81,13 @@ class TestShiftConstruction:
         with pytest.raises(ValueError, match="t_0"):
             make_shift_from_target(small_params, k=k, cov=small_cov)
 
+    @pytest.mark.parametrize("node", [0, 1, 63])
+    def test_non_finite_target_rejected(self, small_params, small_cov, node):
+        k = small_cov.grid.points.copy()
+        k[node] = np.nan
+        with pytest.raises(ValueError):
+            make_shift_from_target(small_params, k=k, cov=small_cov)
+
     def test_one_dimensional_target_goes_to_first_component(
         self, small_params, small_cov
     ):

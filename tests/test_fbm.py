@@ -89,6 +89,13 @@ class TestGridCovariance:
         x = small_cov.solve(b)
         assert np.allclose(small_cov.sigma @ x, b, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_solve_rejects_non_finite_rhs(self, small_cov, bad):
+        b = np.ones((small_cov.sigma.shape[0], 2))
+        b[3, 1] = bad
+        with pytest.raises(ValueError, match="NaN or inf"):
+            small_cov.solve(b)
+
     def test_factor_built_once_on_first_use(self, monkeypatch):
         calls = []
 

@@ -112,11 +112,15 @@ class TestTarget:
 
 class TestGramKernel:
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("n", [2, 3, 32, 255, 256])
-    def test_matches_enumerated_pairs(self, n, d):
+    @pytest.mark.parametrize(
+        "n, H",
+        [pytest.param(n, 0.5, id=str(n)) for n in (2, 3, 32, 255, 256)]
+        + [pytest.param(n, H, id=f"{n}-H{H}") for n in (32, 256) for H in (0.05, 0.95)],
+    )
+    def test_matches_enumerated_pairs(self, n, H, d):
         # a constant offset is where |x_i|^2 + |x_j|^2 - 2 x_i . x_j would
         # cancel without the centering
-        p = ModelParams(H=0.5, d=d, N=n, g=0.1, seed=n)
+        p = ModelParams(H=H, d=d, N=n, g=0.1, seed=n)
         cov = GridCovariance(p)
         target = _Target(p, cov, 0.05)
         x = _full(_random_free_coords(cov, np.random.default_rng(10 * n + d)))
@@ -129,7 +133,9 @@ class TestGramKernel:
             ref_grad = ref_grad[1:]
             assert np.max(np.abs(grad - ref_grad)) <= 1e-10 * np.max(np.abs(ref_grad))
 
-    @pytest.mark.parametrize("n, d", [(3, 1), (64, 2), (255, 3), (256, 2)])
+    @pytest.mark.parametrize(
+        "n, d", [(3, 1), (64, 2), (255, 3), (256, 2), (257, 2), (1024, 2), (256, 1)]
+    )
     def test_kernel_is_bit_symmetric(self, n, d):
         p = ModelParams(H=0.5, d=d, N=n, g=0.1, seed=1)
         cov = GridCovariance(p)

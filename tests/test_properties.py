@@ -1,12 +1,14 @@
 """Property tests over (H, d, N): replica reproducibility on both sampler
 routes, single-path against batch SILT, the shifted SILT family against
-the batch kernel on shifted paths, exact centering of the grid
-expectation, and the cocycle of the Cameron-Martin log density."""
+the batch kernel on shifted paths, the chain's Gram kernel against the
+enumerated pairs, the covariance solve against scipy, exact centering of
+the grid expectation, and the cocycle of the Cameron-Martin log density."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +24,8 @@ from edwardsim import (
     silt_raw_batch,
     silt_raw_shifted,
 )
-from pair_reference import pair_cache
+from edwardsim.mala import _Target, _full
+from pair_reference import pair_cache, pair_silt_and_grad
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=100)
 MODELS = st.builds(
@@ -30,6 +33,13 @@ MODELS = st.builds(
     H=st.floats(0.05, 0.95),
     d=st.integers(1, 3),
     N=st.integers(3, 64),
+    seed=st.integers(0, 2**16),
+)
+MODELS_FROM_2 = st.builds(
+    ModelParams,
+    H=st.floats(0.05, 0.95),
+    d=st.integers(1, 3),
+    N=st.integers(2, 64),
     seed=st.integers(0, 2**16),
 )
 EPS = st.floats(1e-3, 1.0)
@@ -66,13 +76,7 @@ def test_single_path_silt_equals_its_batch_row(p, m, row, eps):
 
 @PROPERTY
 @given(
-    p=st.builds(
-        ModelParams,
-        H=st.floats(0.05, 0.95),
-        d=st.integers(1, 3),
-        N=st.integers(2, 64),
-        seed=st.integers(0, 2**16),
-    ),
+    p=MODELS_FROM_2,
     m=st.integers(1, 20),
     us=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
     still=st.tuples(st.booleans(), st.booleans(), st.booleans()),
@@ -94,6 +98,26 @@ def test_shifted_family_rows(p, m, us, still, eps):
         assert np.array_equal(out[:, i], silt_raw_shifted(values, cov.grid, k, [u], [eps])[:, 0, 0])
         ref = silt_raw_batch(values + u * k, cov.grid, [eps])[:, 0]
         assert np.all(np.abs(out[:, i] - ref) <= 1e-12 * np.abs(ref))
+
+
+@PROPERTY
+@given(p=MODELS_FROM_2, offset=st.sampled_from([0.0, 1e3]))
+def test_gram_kernel_and_factor_solve(p, offset):
+    # the offset is where |x_i|^2 + |x_j|^2 - 2 x_i . x_j would cancel
+    # without the centering
+    cov = GridCovariance(p)
+    xr = cov.chol @ np.random.default_rng(p.seed).standard_normal((p.N - 1, p.d))
+    x = _full(xr) + offset
+    target = _Target(p, cov, 0.05)
+    ref_raw, ref_grad = pair_silt_and_grad(x, cov.grid.spacing, 0.05)
+    raw, grad = target.raw_and_grad(x)
+    assert abs(raw / ref_raw - 1.0) < 1e-12
+    assert abs(target.raw(x) / ref_raw - 1.0) < 1e-12
+    assert np.max(np.abs(grad - ref_grad[1:])) <= 1e-10 * np.max(np.abs(ref_grad[1:]))
+    k, _ = target._kernel(x)
+    assert np.array_equal(k, k.T)
+    assert np.all(np.diag(k) == 0.0)
+    assert np.array_equal(cov.solve(xr), scipy.linalg.cho_solve((cov.chol, True), xr))
 
 
 @PROPERTY
