@@ -20,6 +20,8 @@ covariance as cov(t, s) = int_0^{t^s} R_H(t, r) R_H(s, r) dr, and shifts can
 alternatively be built from an L^2 control h via k(t) = int_0^t R_H(t,s) h(s) ds.
 The grid constructor above is the primary route and works for every H,
 including H <= 1/2 where this kernel formula has no real normalization.
+The kernel route alone (c_h_norm, make_shift_from_h) imports scipy.special
+and scipy.integrate, when called; grid shifts need neither.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.integrate
-import scipy.special
 
 from .fbm import FbmPath, GridCovariance
 from .params import ModelParams, TimeGrid
@@ -54,6 +54,7 @@ _N_QUAD = 64
 
 def c_h_norm(H: float) -> float:
     """Normalization C_H = sqrt(H(2H-1)/beta(2-2H, H-1/2)); real for H > 1/2."""
+    import scipy.special
     if H <= 0.5:
         raise ValueError(
             "C_H is real only for H > 1/2; for H <= 1/2 build shifts with "
@@ -174,6 +175,7 @@ def make_shift_from_h(
     check against the grid constructor; the integrable s^{1/2-H} endpoint
     is handled by the adaptive integrator.
     """
+    import scipy.integrate
     if params.H <= 0.5:
         raise ValueError(
             "make_shift_from_h needs H > 1/2; use make_shift_from_target"

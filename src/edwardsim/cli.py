@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import shutil
 import sys
 import time
@@ -420,6 +421,19 @@ def _prepare_outdir(cfg: RunConfig, args, subcommand: str) -> Path:
     return outdir
 
 
+def _environment() -> dict:
+    """Versions and thread settings of the run; imports scipy's top level only."""
+    import scipy
+    affinity = getattr(os, "sched_getaffinity", None)
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "nproc": len(affinity(0)) if affinity else os.cpu_count(),
+        **{k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+    }
+
+
 def _write_manifest(outdir: Path, subcommand: str, cfg: RunConfig, outputs: list[Path], wall: float) -> None:
     files = list(outputs) + [outdir / "config.ini", outdir / "config_effective.ini"]
     manifest = {
@@ -427,6 +441,7 @@ def _write_manifest(outdir: Path, subcommand: str, cfg: RunConfig, outputs: list
         "version": __version__,
         "config_sha256": config_hash(cfg),
         "wall_clock_s": round(wall, 3),
+        "environment": _environment(),
         "outputs": {f.name: _sha256(f) for f in files},
     }
     _json_dump(outdir / "manifest.json", manifest)

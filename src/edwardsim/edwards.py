@@ -73,9 +73,10 @@ class WeightedEnsemble:
 
     @property
     def ess(self) -> float:
-        s1 = float(np.sum(self.weights))
-        s2 = float(np.sum(self.weights**2))
-        return s1 * s1 / s2
+        """Kish (sum w)^2 / sum w^2, taken of w / max w so it cannot overflow."""
+        r = self.weights / np.max(self.weights)
+        s1 = float(np.sum(r))
+        return s1 * s1 / float(np.sum(r * r))
 
     @property
     def normalized_weights(self) -> np.ndarray:

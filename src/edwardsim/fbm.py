@@ -11,7 +11,8 @@ Cholesky factor of the grid covariance (t_0 = 0 excluded, where the path is
 pinned to zero), shared by every path and component. The covariance and its
 factor are built on first use. Single paths and batches share one draw
 routine: one product with the factor, or one spectrum and one batched FFT,
-per chunk of paths.
+per chunk of paths. scipy.linalg is imported by the factor and the solve
+when first called, so a circulant draw loads no scipy module.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .params import ModelParams, TimeGrid, make_grid
 from .rng import stream
@@ -68,6 +68,7 @@ def _cholesky_with_jitter(sigma: np.ndarray) -> tuple[np.ndarray, bool]:
     Returns (L, jittered). Failure raises LinAlgError naming the offending
     leading minor.
     """
+    import scipy.linalg
     c, info = scipy.linalg.lapack.dpotrf(sigma, lower=1, clean=1, overwrite_a=0)
     if info == 0:
         return c, False
@@ -123,6 +124,7 @@ class GridCovariance:
 
         A NaN or inf in b raises ValueError; only b is scanned, since the
         factor is finite once built."""
+        import scipy.linalg
         b = np.asarray(b, dtype=float)
         if not np.isfinite(b).all():
             raise ValueError("right-hand side contains NaN or inf")

@@ -36,7 +36,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 
 from .fbm import GridCovariance
 from .params import ModelParams, TimeGrid
@@ -66,6 +65,8 @@ class _Target:
     def __init__(self, params: ModelParams, cov: GridCovariance, eps: float):
         if eps <= 0.0:
             raise ValueError("eps must be positive")
+        from scipy.linalg.blas import dgemm
+        self._dgemm = dgemm
         self.params = params
         self.cov = cov
         self.eps = float(eps)
@@ -92,7 +93,7 @@ class _Target:
         bit-symmetric by construction; a single product x (-2 x)^T is not.
         The next call overwrites K."""
         x = x - x.mean(axis=0)
-        k, scratch, norms = self._k, self._sums, self._norms
+        k, scratch, norms, dgemm = self._k, self._sums, self._norms, self._dgemm
         # symmetric results, so the C-ordered buffers are written through
         # their Fortran-ordered transposes
         for comp in range(x.shape[1]):

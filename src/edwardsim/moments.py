@@ -15,7 +15,9 @@ centered SILT between two shift magnitudes, the Holder-slope report, and
 the exact density of the shifted reweighted law with its continuity scan.
 The last three take the SILT along the Cameron-Martin family x + u k, under
 which that law is quasi-invariant, from one silt_raw_shifted call on a
-shared base ensemble (common random numbers); u = 0 is the base.
+shared base ensemble (common random numbers); u = 0 is the base. Only the
+moment quadratures and the closed form import scipy.integrate and
+scipy.special, when called; the CLI calls neither.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.integrate
-import scipy.special
 
 from .cameron_martin import _LOG_OVERFLOW, CMShift
 from .fbm import GridCovariance, sample_fbm_batch
@@ -117,6 +117,7 @@ class MomentIntegral:
 
 
 def _closed_form(a: float, b: float, mu: float, alpha: float, d: int) -> float:
+    import scipy.special
     det = a * b - mu * mu
     if det <= 0.0:
         raise ValueError("Sigma + eps*I must be positive definite")
@@ -126,6 +127,7 @@ def _closed_form(a: float, b: float, mu: float, alpha: float, d: int) -> float:
 
 def _moment_quad_d1(a: float, b: float, r: float, alpha: float) -> float:
     """4 (ab)^{-(alpha+1/2)} * int_{[0,inf)^2} x^2a y^2a e^{-(x^2+y^2)/2} cosh(rxy)."""
+    import scipy.integrate
 
     def f(y: float, x: float) -> float:
         base = -0.5 * (x * x + y * y)
@@ -140,6 +142,8 @@ def _moment_quad_d1(a: float, b: float, r: float, alpha: float) -> float:
 def _moment_quad_d2(a: float, b: float, r: float, alpha: float) -> float:
     """Polar reduction: (2 pi)^2 (ab)^{-(alpha+1)} *
     int_{[0,inf)^2} x^{2a+1} y^{2a+1} e^{-(x^2+y^2)/2} I_0(rxy)."""
+    import scipy.integrate
+    import scipy.special
     r = abs(r)
 
     def f(y: float, x: float) -> float:

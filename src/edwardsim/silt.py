@@ -33,7 +33,8 @@ about ulp(a + u^2 c) / (2 eps) relative per pair term, which the tests
 The eps ladder eps_j = eps0 * 2^{-j} tracks convergence of the centered
 values as eps -> 0. At H*d = 1 the limit exists in L^2 but the rate carries
 no proven constant, so the ladder reports successive-difference ratios and
-flags non-convergence instead of asserting a rate.
+flags non-convergence instead of asserting a rate. Only the quadrature
+silt_expectation imports scipy (scipy.integrate), when it is called.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fbm import _chunk_bounds, _map_chunks
@@ -277,6 +277,7 @@ def _rungs(sq: np.ndarray, e: np.ndarray, rates: np.ndarray, squares: np.ndarray
 def silt_expectation(params: ModelParams, eps: float) -> float:
     """Continuum expectation int_0^T (T-u)(2 pi)^{-d/2}(eps + u^{2H})^{-d/2} du
     by adaptive quadrature."""
+    import scipy.integrate
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     pref = (2.0 * np.pi) ** (-0.5 * params.d)

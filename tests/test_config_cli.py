@@ -1,9 +1,12 @@
 import hashlib
 import json
+import os
+import platform
 import warnings
 
 import numpy as np
 import pytest
+import scipy
 
 from edwardsim import (
     ConfigError,
@@ -185,6 +188,18 @@ class TestCliSampleFbm:
             assert hashlib.sha256((sub / name).read_bytes()).hexdigest() == digest
         eff = parse_config((sub / "config_effective.ini").read_text())
         assert manifest["config_sha256"] == config_hash(eff)
+
+    def test_manifest_environment(self, outdir, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        out = outdir / "run"
+        assert _run(["sample-fbm", "--n", "16", "--out", str(out)]) == 0
+        env = json.loads((out / "sample-fbm" / "manifest.json").read_text())["environment"]
+        assert env["python"] == platform.python_version()
+        assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
+        assert 1 <= env["nproc"] <= os.cpu_count()
+        assert env["OMP_NUM_THREADS"] == "1"
+        assert env["OPENBLAS_NUM_THREADS"] is None
 
     def test_env_var_overrides_flag(self, outdir, monkeypatch):
         envdir = outdir / "from_env"

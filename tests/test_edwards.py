@@ -94,6 +94,16 @@ class TestEnsemble:
             ens = edwards_ensemble(p, 256, LadderConfig(0.1, 4), cov=small_cov)
         assert ens.ess < 0.01 * 256
 
+    def test_ess_of_weights_near_the_double_limit(self):
+        # the largest log-weight, 584, squares past the double range; the
+        # ess is scale-free and still flags the degeneracy
+        p = ModelParams(H=0.5, d=2, g=-1000.0, N=64, seed=1)
+        with pytest.warns(RuntimeWarning, match="degenerate"):
+            ens = edwards_ensemble(p, 128)
+        assert np.max(-p.g * ens.lc) > 354.9
+        assert np.array_equal(ens.weights, np.exp(-p.g * ens.lc))
+        assert np.isfinite(ens.ess) and 1.0 <= ens.ess <= 128
+
     def test_nonfinite_weights_abort(self, small_cov):
         p = ModelParams(N=64, g=-1e8, seed=0)
         with pytest.raises(FloatingPointError, match="admissible"):
