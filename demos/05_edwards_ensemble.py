@@ -31,8 +31,8 @@ ens = edwards_ensemble(params, 4000, LadderConfig(eps0=0.1, levels=5), cov=cov)
 
 print(f"replicas {ens.m}, working eps {ens.eps}")
 print(f"effective sample size {ens.ess:.1f} ({100 * ens.ess / ens.m:.1f}%)")
-print(f"weight quantiles (normalized q50/q90/q99/max): {np.round(ens.weight_tail(), 4)}")
-print(f"second-moment diagnostic E[w^2]/E[w]^2: {ens.mgf_diagnostic():.4f}")
+print(f"weight quantiles (q50/q90/q99/max of exp(-g lc)): {np.round(ens.weight_tail(), 4)}")
+print(f"second-moment diagnostic log E[w^2]: {ens.mgf_diagnostic():.4f}")
 
 # the tilt pushes the local time down and spreads the endpoint out
 lc_mean, lc_se = ens.expectation(ens.lc)

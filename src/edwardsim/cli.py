@@ -29,7 +29,7 @@ from .cameron_martin import builtin_shift
 from .config import ConfigError, RunConfig, config_hash, dump_config, load_config
 from .edwards import edwards_ensemble
 from .fbm import FbmPath, GridCovariance, sample_fbm_batch
-from .mala import batch_means_stderr, load_checkpoint, run_mala, save_checkpoint
+from .mala import batch_means_stderr, load_checkpoint, run_mala, save_checkpoint, sokal_iat
 from .moments import continuity_scan, holder_verify
 from .params import ModelParams
 from .pathio import read_shift_csv, write_path_binary, write_path_csv
@@ -240,7 +240,7 @@ def _cmd_edwards_estimate(cfg: RunConfig, args, outdir: Path) -> list[Path]:
             "g": params.g,
             "eps": ens.eps,
             "ess": ens.ess,
-            "mgf2": ens.mgf_diagnostic(),
+            "log_mgf2": ens.mgf_diagnostic(),
             "weight_tail_q50_q90_q99_max": ens.weight_tail().tolist(),
             "means": {k: {"mean": v[0], "stderr": v[1]} for k, v in means.items()},
         },
@@ -288,6 +288,7 @@ def _cmd_quantize_run(cfg: RunConfig, args, outdir: Path) -> list[Path]:
             "acceptance": result.acceptance_rate,
             "step": result.step,
             "resumed_from": str(args.resume) if getattr(args, "resume", None) else None,
+            "lc_iat": sokal_iat(lc),
             "means": {
                 "lc": {"mean": float(lc.mean()), "stderr": batch_means_stderr(lc)},
                 "logpi": {"mean": float(logpi.mean()), "stderr": batch_means_stderr(logpi)},

@@ -91,8 +91,12 @@ class WeightedEnsemble:
         return mean, stderr
 
     def mgf_diagnostic(self) -> float:
-        """Empirical E[exp(-2 g L_c)]; finiteness proxy for the weight tail."""
-        return float(np.mean(self.weights**2))
+        """log of the empirical E[exp(-2 g L_c)] = E[w^2], a finiteness proxy
+        for the weight tail; a logsumexp of -2 g lc, so it stays finite
+        where w^2 overflows."""
+        a = -2.0 * self.params.g * self.lc
+        top = float(np.max(a))
+        return top + float(np.log(np.mean(np.exp(a - top))))
 
     def weight_tail(self, qs=(0.5, 0.9, 0.99, 1.0)) -> np.ndarray:
         """Weight quantiles, the plot-ready degeneracy diagnostic."""

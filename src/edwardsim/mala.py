@@ -1,19 +1,17 @@
 """Path-space Metropolis-adjusted Langevin sampling of the reweighted law.
 
-Targets the density exp(-g * L_eps(x)) against the Gaussian path measure on
-the grid, i.e. the unnormalized log density
+Targets exp(-g * L_eps(x)) against the Gaussian path law on the grid. The
+chain moves in whitened Cameron-Martin coordinates z, x[1:] = L z per
+component with L = chol(Sigma) the factor of the pinned-grid covariance:
 
-    log pi(x) = -1/2 sum_c x_c^T Sigma^{-1} x_c  -  g * L_eps(x),
+    log pi(z) = -1/2 |z|^2  -  g * L_eps(L z),
+    z' = z + (s^2 / 2) grad log pi(z) + s xi,  grad log pi(z) = -z - g L^T grad L_eps.
 
-with Sigma the pinned-grid covariance. Proposals are preconditioned by
-Sigma itself,
-
-    y = x + (s^2 / 2) * Sigma grad log pi(x) + s * chol(Sigma) xi,
-
-which makes the g = 0 chain an exact AR(1) in the whitened coordinates.
-The Sigma-weighted drift needs no extra solves: Sigma grad log pi =
--x - g * Sigma grad L_eps, and the solve Sigma^{-1} x is cached per state
-for the accept ratio.
+That is the Sigma-preconditioned Langevin chain in x, so the g = 0 chain is
+an exact AR(1). The accept ratio takes plain Euclidean residuals, s xi
+forward and z - z' - (s^2 / 2) grad log pi(z') back, so no iteration solves
+against Sigma, and at g = 0 the path is formed only at recorded samples.
+Checkpoints carry z, from which a resume continues bit-identically.
 
 L_eps and its gradient come from one dense Gram form on the path centered
 over its nodes, K_ij = exp(-(|x_i|^2 + |x_j|^2 - 2 x_i . x_j) / (2 eps))
@@ -49,6 +47,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "batch_means_stderr",
+    "sokal_iat",
 ]
 
 MALA_STREAM_INDEX = 2**48
@@ -129,11 +128,9 @@ class _Target:
 class _State:
     """One chain state with everything the accept ratio reuses."""
 
-    xr: np.ndarray  # free coordinates x[1:], shape (N-1, d)
-    prec: np.ndarray  # Sigma^{-1} xr per component
+    z: np.ndarray  # whitened coordinates, shape (N-1, d)
     raw: float | None  # lazy at g = 0 (only the trace needs it then)
-    glog: np.ndarray  # grad log pi = -prec - g * grad raw
-    drift: np.ndarray  # Sigma grad log pi = -xr - g * Sigma grad raw
+    glog: np.ndarray  # grad log pi in z = -z - g * L^T grad raw
     logpi: float
 
 
@@ -141,32 +138,33 @@ def _full(xr: np.ndarray) -> np.ndarray:
     return np.vstack([np.zeros((1, xr.shape[1])), xr])
 
 
-def _make_state(target: _Target, xr: np.ndarray) -> _State:
-    cov = target.cov
+def _make_state(target: _Target, z: np.ndarray) -> _State:
     g = target.params.g
-    prec = cov.solve(xr)
-    gauss = -0.5 * float(np.sum(xr * prec))
+    gauss = -0.5 * float(np.vdot(z, z))
     if g == 0.0:
-        # The Gaussian chain never needs the pair sum or its gradient.
-        return _State(xr=xr, prec=prec, raw=None, glog=-prec, drift=-xr, logpi=gauss)
-    raw, graw = target.raw_and_grad(_full(xr))
-    glog = -prec - g * graw
-    drift = -xr - g * (cov.sigma @ graw)
-    return _State(xr=xr, prec=prec, raw=raw, glog=glog, drift=drift, logpi=gauss - g * raw)
+        # The Gaussian chain never needs the path, the pair sum or its gradient.
+        return _State(z=z, raw=None, glog=-z, logpi=gauss)
+    chol = target.cov.chol
+    raw, graw = target.raw_and_grad(_full(chol @ z))
+    glog = -z - g * (chol.T @ graw)
+    return _State(z=z, raw=raw, glog=glog, logpi=gauss - g * raw)
 
 
-def _log_q(s: float, frm: _State, to: _State) -> float:
-    """log proposal density q(frm -> to), up to the shared normalization."""
-    r = to.xr - (frm.xr + 0.5 * s * s * frm.drift)
-    prec_r = to.prec - frm.prec - 0.5 * s * s * frm.glog
-    return -0.5 / (s * s) * float(np.sum(r * prec_r))
+def _propose(target: _Target, cur: _State, s: float, xi: np.ndarray) -> tuple[_State, float]:
+    """The proposal made from the normal draw xi and its log accept ratio."""
+    half = 0.5 * s * s
+    prop = _make_state(target, cur.z + half * cur.glog + s * xi)
+    rev = cur.z - prop.z - half * prop.glog
+    log_q_ratio = 0.5 * float(np.vdot(xi, xi)) - 0.5 / (s * s) * float(np.vdot(rev, rev))
+    return prop, prop.logpi - cur.logpi + log_q_ratio
 
 
 @dataclass(eq=False)
 class ChainState:
     """Resumable chain snapshot: position, step size, iteration, rng."""
 
-    xr: np.ndarray
+    xr: np.ndarray  # free path coordinates x[1:] = L z
+    z: np.ndarray  # whitened position, from which a resume continues
     step: float
     iteration: int
     rng_state: dict
@@ -208,7 +206,8 @@ def run_mala(
     Step size adapts toward the optimal acceptance rate during burn-in only
     (multiplicative updates on block acceptance), then freezes so the chain
     after burn-in is a genuine MALA chain. `resume` continues a saved chain;
-    its step overrides the argument and burn-in is skipped.
+    its step overrides the argument and burn-in is skipped. A run that
+    would record no sample raises ValueError.
     """
     if n_iter <= 0 or burn_in < 0 or thin <= 0:
         raise ValueError("n_iter must be positive, burn_in nonnegative, thin positive")
@@ -216,7 +215,6 @@ def run_mala(
         cov = GridCovariance(params)
     grid = cov.grid
     target = _Target(params, cov, eps)
-    expect = silt_expectation_grid(params, grid, eps)
     if record_index is None:
         record_index = grid.n // 2
     if not 1 <= record_index < grid.n:
@@ -225,19 +223,28 @@ def run_mala(
     if resume is not None:
         rng = np.random.Generator(np.random.Philox())
         rng.bit_generator.state = resume.rng_state
-        cur = _make_state(target, np.array(resume.xr, dtype=float))
+        z0 = np.array(resume.z, dtype=float)
+        if z0.shape != (grid.n - 1, params.d):
+            raise ValueError(f"checkpoint state has shape {z0.shape}, this chain needs "
+                             f"{(grid.n - 1, params.d)}")
         s = float(resume.step)
         it0 = int(resume.iteration)
         burn_in = 0
         adapt = False
     else:
         rng = stream(params.seed, MALA_STREAM_INDEX)
-        xi = rng.standard_normal((grid.n - 1, params.d))
-        cur = _make_state(target, cov.chol @ xi)
+        z0 = rng.standard_normal((grid.n - 1, params.d))
         s = float(step)
         it0 = 0
 
     n_rec = (n_iter - burn_in) // thin
+    if n_rec < 1:
+        raise ValueError(
+            f"chain records no sample: {n_iter} iterations after a burn-in of {burn_in} "
+            f"at thin {thin}; need (n_iter - burn_in) // thin >= 1"
+        )
+    expect = silt_expectation_grid(params, grid, eps)
+    cur = _make_state(target, z0)
     lc_tr = np.empty(n_rec)
     coord_tr = np.empty((n_rec, params.d))
     logpi_tr = np.empty(n_rec)
@@ -246,10 +253,8 @@ def run_mala(
     block_acc = 0
 
     for it in range(n_iter):
-        xi = rng.standard_normal((grid.n - 1, params.d))
-        prop_xr = cur.xr + 0.5 * s * s * cur.drift + s * (cov.chol @ xi)
-        prop = _make_state(target, prop_xr)
-        log_alpha = prop.logpi - cur.logpi + _log_q(s, prop, cur) - _log_q(s, cur, prop)
+        xi = rng.standard_normal(z0.shape)
+        prop, log_alpha = _propose(target, cur, s, xi)
         if np.log(rng.random()) < log_alpha:
             cur = prop
             block_acc += 1
@@ -262,16 +267,16 @@ def run_mala(
             block_acc = 0
         elif it == burn_in - 1:
             block_acc = 0
-        if it >= burn_in and (it - burn_in) % thin == thin - 1 and rec < n_rec:
-            raw_cur = cur.raw if cur.raw is not None else target.raw(_full(cur.xr))
-            lc_tr[rec] = raw_cur - expect
-            coord_tr[rec] = cur.xr[record_index - 1]
+        if it >= burn_in and (it - burn_in) % thin == thin - 1:
+            if cur.raw is None:  # g = 0: the pair sum of recorded states only
+                cur.raw = target.raw(_full(cov.chol @ cur.z))
+            lc_tr[rec] = cur.raw - expect
+            coord_tr[rec] = cov.chol[record_index - 1] @ cur.z
             logpi_tr[rec] = cur.logpi
             rec += 1
 
-    n_post = n_iter - burn_in
-    rate = accepted / n_post if n_post > 0 else float("nan")
-    if n_post > 0 and not ACCEPT_WARN_LOW <= rate <= ACCEPT_WARN_HIGH:
+    rate = accepted / (n_iter - burn_in)
+    if not ACCEPT_WARN_LOW <= rate <= ACCEPT_WARN_HIGH:
         warnings.warn(
             f"acceptance rate {rate:.3f} outside [{ACCEPT_WARN_LOW}, {ACCEPT_WARN_HIGH}]; "
             "adjust the step size",
@@ -279,7 +284,8 @@ def run_mala(
             stacklevel=2,
         )
     state = ChainState(
-        xr=cur.xr.copy(),
+        xr=cov.chol @ cur.z,
+        z=cur.z.copy(),
         step=s,
         iteration=it0 + n_iter,
         rng_state=rng.bit_generator.state,
@@ -288,7 +294,7 @@ def run_mala(
         params=params,
         grid=grid,
         eps=eps,
-        traces={"lc": lc_tr[:rec], "coord": coord_tr[:rec], "logpi": logpi_tr[:rec]},
+        traces={"lc": lc_tr, "coord": coord_tr, "logpi": logpi_tr},
         acceptance_rate=rate,
         step=s,
         n_iter=n_iter,
@@ -311,6 +317,24 @@ def batch_means_stderr(trace: np.ndarray) -> float:
     return float(np.std(blocks, ddof=1) / np.sqrt(nb))
 
 
+def sokal_iat(trace: np.ndarray, c: float = 5.0) -> float:
+    """Integrated autocorrelation time with Sokal's automatic window:
+    tau(M) = 1 + 2 sum_{1 <= t <= M} rho_t at the first M >= c tau(M)."""
+    x = np.asarray(trace, dtype=float)
+    n = x.size
+    if x.ndim != 1 or n < 2:
+        raise ValueError("need a 1-D trace of at least 2 samples for an autocorrelation time")
+    x = x - x.mean()
+    f = np.fft.rfft(x, 2 * n)
+    acf = np.fft.irfft(f * np.conj(f), 2 * n)[:n]
+    if acf[0] == 0.0:
+        raise ValueError("constant trace has no autocorrelation time")
+    tau = 2.0 * np.cumsum(acf / acf[0]) - 1.0
+    window = np.arange(n) >= c * tau
+    m = int(np.argmax(window)) if window.any() else n - 1
+    return float(tau[m])
+
+
 def save_checkpoint(path, state: ChainState) -> None:
     """Binary checkpoint: arrays via savez, rng state via a JSON sidecar
     field (Philox counters are uint64 arrays; json gets them as lists)."""
@@ -328,6 +352,7 @@ def save_checkpoint(path, state: ChainState) -> None:
     np.savez(
         path,
         xr=state.xr,
+        z=state.z,
         step=np.float64(state.step),
         iteration=np.int64(state.iteration),
         rng_json=np.bytes_(json.dumps(payload).encode()),
@@ -335,13 +360,16 @@ def save_checkpoint(path, state: ChainState) -> None:
 
 
 def load_checkpoint(path) -> ChainState:
-    with np.load(path) as z:
-        xr = np.array(z["xr"], dtype=float)
-        step = float(z["step"])
-        iteration = int(z["iteration"])
-        payload = json.loads(z["rng_json"].item().decode())
-    if payload["bit_generator"] != "Philox":
-        raise ValueError("checkpoint was not written by this sampler")
+    with np.load(path) as f:
+        payload = json.loads(f["rng_json"].item().decode())
+        if payload["bit_generator"] != "Philox":
+            raise ValueError("checkpoint was not written by this sampler")
+        if "z" not in f:
+            raise ValueError("checkpoint has no whitened coordinates z to resume from")
+        xr = np.array(f["xr"], dtype=float)
+        z = np.array(f["z"], dtype=float)
+        step = float(f["step"])
+        iteration = int(f["iteration"])
     rng_state = {
         "bit_generator": "Philox",
         "state": {
@@ -353,4 +381,4 @@ def load_checkpoint(path) -> ChainState:
         "has_uint32": payload["has_uint32"],
         "uinteger": payload["uinteger"],
     }
-    return ChainState(xr=xr, step=step, iteration=iteration, rng_state=rng_state)
+    return ChainState(xr=xr, z=z, step=step, iteration=iteration, rng_state=rng_state)

@@ -287,15 +287,16 @@ def test_criterion_09_gradient_checks(desk_params, desk_cov, desk_ensemble):
     target = _Target(desk_params, desk_cov, 0.00625)
     rng = np.random.default_rng(109)
     worst_mala = 0.0
+    # the sampler's log target in its whitened coordinates z, x[1:] = L z
     for _ in range(20):
-        xr = desk_cov.chol @ rng.standard_normal((grid.n - 1, desk_params.d))
-        st = _make_state(target, xr)
-        v = rng.standard_normal(xr.shape)
+        z = rng.standard_normal((grid.n - 1, desk_params.d))
+        st = _make_state(target, z)
+        v = rng.standard_normal(z.shape)
         v /= np.linalg.norm(v)
         analytic = float(np.sum(st.glog * v))
         fd = (
-            _make_state(target, xr + delta * v).logpi
-            - _make_state(target, xr - delta * v).logpi
+            _make_state(target, z + delta * v).logpi
+            - _make_state(target, z - delta * v).logpi
         ) / (2.0 * delta)
         worst_mala = max(worst_mala, abs(analytic - fd) / max(abs(analytic), 1e-10))
 

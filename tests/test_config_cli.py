@@ -15,6 +15,7 @@ from edwardsim import (
     dump_config,
     load_config,
     parse_config,
+    sokal_iat,
 )
 from edwardsim.cli import main
 
@@ -315,6 +316,37 @@ class TestCliMala:
         summary2 = json.loads((sub2 / "mala_summary.json").read_text())
         assert summary2["resumed_from"].endswith("mala_checkpoint.npz")
 
+    def test_summary_carries_lc_iat(self, outdir):
+        out = outdir / "run"
+        argv = [
+            "quantize-run", "--n", "32", "--iterations", "300",
+            "--burn-in", "100", "--thin", "1", "--out", str(out),
+        ]
+        assert _run(argv) == 0
+        sub = out / "quantize-run"
+        lc = np.loadtxt(sub / "mala_trace.csv", delimiter=",", skiprows=1)[:, 1]
+        summary = json.loads((sub / "mala_summary.json").read_text())
+        assert summary["lc_iat"] == sokal_iat(lc)
+        assert summary["lc_iat"] >= 1.0
+
+    def test_resume_accepts_a_burn_in_longer_than_the_run(self, outdir):
+        # a resume skips burn-in, so --burn-in only matters on a fresh run
+        out1 = outdir / "leg1"
+        argv = [
+            "quantize-run", "--n", "32", "--iterations", "100",
+            "--burn-in", "50", "--thin", "10", "--out", str(out1),
+        ]
+        assert _run(argv) == 0
+        ck = out1 / "quantize-run" / "mala_checkpoint.npz"
+        out2 = outdir / "leg2"
+        argv2 = [
+            "quantize-run", "--n", "32", "--iterations", "50", "--burn-in", "200",
+            "--thin", "10", "--resume", str(ck), "--out", str(out2),
+        ]
+        assert _run(argv2) == 0
+        trace = np.loadtxt(out2 / "quantize-run" / "mala_trace.csv", delimiter=",", skiprows=1)
+        assert trace.shape == (5, 5)
+
 
 class TestCliFailures:
     def test_bad_config_key_exits_1(self, outdir, capsys):
@@ -374,6 +406,32 @@ class TestCliFailures:
         assert np.all(np.isfinite(table[:, 4:]))
         assert np.all(table[gone, 4] < -745.0)
         assert np.array_equal(np.exp(table[:, 4:]), table[:, 1:3])
+
+    def test_chain_that_records_nothing_exits_2(self, outdir, capsys):
+        argv = [
+            "quantize-run", "--n", "16", "--iterations", "100", "--burn-in", "200",
+            "--out", str(outdir / "x"),
+        ]
+        assert _run(argv) == 2
+        assert "records no sample" in capsys.readouterr().err
+
+    def test_large_coupling_summary_is_valid_json(self, outdir):
+        # w^2 overflows here; the summary carries log E[w^2] instead
+        out = outdir / "x"
+        argv = [
+            "edwards-estimate", "--coupling=-1000", "--n", "64", "--paths", "128",
+            "--seed", "1", "--out", str(out),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert _run(argv) == 0
+        text = (out / "edwards-estimate" / "edwards_summary.json").read_text()
+
+        def reject(name):
+            raise ValueError(f"summary holds {name}")
+
+        summary = json.loads(text, parse_constant=reject)
+        assert summary["log_mgf2"] > 709.0
 
     def test_unknown_shift_exits_1(self, outdir):
         argv = [

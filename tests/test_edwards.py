@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,7 +83,7 @@ class TestEnsemble:
 
     def test_diagnostics(self, small_ensemble):
         ens = small_ensemble
-        assert ens.mgf_diagnostic() == float(np.mean(ens.weights**2))
+        assert abs(np.exp(ens.mgf_diagnostic()) / np.mean(ens.weights**2) - 1.0) < 1e-12
         tail = ens.weight_tail()
         assert tail.shape == (4,)
         assert np.all(np.diff(tail) >= 0.0)
@@ -103,6 +104,10 @@ class TestEnsemble:
         assert np.max(-p.g * ens.lc) > 354.9
         assert np.array_equal(ens.weights, np.exp(-p.g * ens.lc))
         assert np.isfinite(ens.ess) and 1.0 <= ens.ess <= 128
+        # log E[w^2] stays finite where w^2 overflows
+        log_w2 = -2.0 * p.g * ens.lc
+        ref = float(scipy.special.logsumexp(log_w2) - np.log(ens.m))
+        assert abs(ens.mgf_diagnostic() - ref) <= 1e-12 * abs(ref)
 
     def test_nonfinite_weights_abort(self, small_cov):
         p = ModelParams(N=64, g=-1e8, seed=0)

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,12 +9,14 @@ from edwardsim import (
     GridCovariance,
     ModelParams,
     batch_means_stderr,
+    build_covariance,
     load_checkpoint,
     run_mala,
     save_checkpoint,
     silt_raw,
+    sokal_iat,
 )
-from edwardsim.mala import _Target, _full, _make_state
+from edwardsim.mala import _Target, _full, _make_state, _propose
 from pair_reference import pair_silt_and_grad
 
 
@@ -76,38 +79,100 @@ class TestTarget:
     def test_log_target_gradient_against_finite_differences(
         self, chain_setup, rng
     ):
+        # grad log pi in the whitened coordinates z, where x[1:] = L z
         p, cov = chain_setup
         target = _Target(p, cov, 0.05)
         delta = 1e-5
         for _ in range(20):
-            xr = _random_free_coords(cov, rng)
-            st = _make_state(target, xr)
-            v = rng.standard_normal(xr.shape)
+            z = rng.standard_normal((cov.grid.n - 1, p.d))
+            st = _make_state(target, z)
+            v = rng.standard_normal(z.shape)
             v /= np.linalg.norm(v)
             analytic = float(np.sum(st.glog * v))
-            up = _make_state(target, xr + delta * v).logpi
-            dn = _make_state(target, xr - delta * v).logpi
+            up = _make_state(target, z + delta * v).logpi
+            dn = _make_state(target, z - delta * v).logpi
             fd = (up - dn) / (2.0 * delta)
             assert abs(analytic - fd) / max(abs(analytic), 1e-10) < 1e-5
 
     def test_state_identities(self, chain_setup, rng):
+        # the whitened state is the x-space state seen through x[1:] = L z:
+        # grad_z log pi = L^T grad_x log pi, with grad_x from an explicit solve
         p, cov = chain_setup
         target = _Target(p, cov, 0.05)
-        xr = _random_free_coords(cov, rng)
-        st = _make_state(target, xr)
-        assert st.raw is not None
-        drift_direct = -xr - p.g * (cov.sigma @ (-(st.glog + st.prec) / p.g))
-        assert np.allclose(st.drift, drift_direct, rtol=1e-10, atol=1e-12)
+        z = rng.standard_normal((cov.grid.n - 1, p.d))
+        st = _make_state(target, z)
+        xr = cov.chol @ z
+        raw, graw = target.raw_and_grad(_full(xr))
+        assert st.raw == raw
+        assert st.logpi == -0.5 * float(np.vdot(z, z)) - p.g * raw
+        glog_x = -cov.solve(xr) - p.g * graw
+        assert np.allclose(st.glog, cov.chol.T @ glog_x, rtol=1e-10, atol=1e-12)
 
     def test_gaussian_fast_path(self, rng):
         p = ModelParams(H=0.5, d=2, N=32, g=0.0, seed=0)
         cov = GridCovariance(p)
         target = _Target(p, cov, 0.05)
-        xr = _random_free_coords(cov, rng)
-        st = _make_state(target, xr)
+        z = rng.standard_normal((cov.grid.n - 1, p.d))
+        st = _make_state(target, z)
         assert st.raw is None
-        assert np.array_equal(st.drift, -xr)
-        assert np.array_equal(st.glog, -st.prec)
+        assert np.array_equal(st.glog, -z)
+        assert st.logpi == -0.5 * float(np.vdot(z, z))
+
+
+def _x_space_terms(target, xr):
+    """log pi in the path coordinates x[1:] and what the x-space accept
+    ratio reuses, each from an explicit solve against Sigma."""
+    cov, g = target.cov, target.params.g
+    prec = cov.solve(xr)
+    raw, graw = target.raw_and_grad(_full(xr))
+    return SimpleNamespace(
+        xr=xr,
+        prec=prec,
+        glog=-prec - g * graw,
+        drift=-xr - g * (cov.sigma @ graw),
+        logpi=-0.5 * float(np.sum(xr * prec)) - g * raw,
+    )
+
+
+def _x_space_step(target, xr, s, xi):
+    """Reference: the Sigma-preconditioned Langevin step in x,
+    y = x + (s^2 / 2) Sigma grad log pi(x) + s L xi, and its log
+    Metropolis-Hastings ratio with Sigma^{-1}-weighted residuals."""
+    half = 0.5 * s * s
+    cur = _x_space_terms(target, xr)
+    prop = _x_space_terms(target, xr + half * cur.drift + s * (target.cov.chol @ xi))
+
+    def log_q(frm, to):
+        r = to.xr - (frm.xr + half * frm.drift)
+        prec_r = to.prec - frm.prec - half * frm.glog
+        return -0.5 / (s * s) * float(np.sum(r * prec_r))
+
+    log_alpha = prop.logpi - cur.logpi + log_q(prop, cur) - log_q(cur, prop)
+    return cur, prop, log_alpha
+
+
+class TestWhitenedStep:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [32, 256])
+    @pytest.mark.parametrize("g", [0.0, 0.1, 5.0])
+    def test_log_alpha_matches_x_space_chain(self, g, n, d):
+        # the step in z is the x-space step written in x[1:] = L z: the same
+        # proposal and the same log alpha, up to rounding of size |log pi|
+        p = ModelParams(H=0.5, d=d, N=n, g=g, seed=1)
+        cov = GridCovariance(p)
+        target = _Target(p, cov, 0.05)
+        rng = np.random.default_rng(1000 * n + 10 * d + int(10 * g))
+        for _ in range(5):
+            z = rng.standard_normal((n - 1, d))
+            xi = rng.standard_normal((n - 1, d))
+            s = float(rng.uniform(0.05, 1.5))
+            prop, log_alpha = _propose(target, _make_state(target, z), s, xi)
+            cur_x, prop_x, ref = _x_space_step(target, cov.chol @ z, s, xi)
+            tol = 1e-12 * (abs(cur_x.logpi) + abs(prop_x.logpi))
+            assert abs(log_alpha - ref) <= tol
+            assert abs(prop.logpi - prop_x.logpi) <= tol
+            xr = cov.chol @ prop.z
+            assert np.max(np.abs(xr - prop_x.xr)) <= 1e-12 * np.max(np.abs(prop_x.xr))
 
 
 class TestGramKernel:
@@ -212,6 +277,25 @@ class TestRunMala:
                 p, eps=0.05, n_iter=10, burn_in=0, cov=cov, record_index=32
             )
 
+    def test_rejects_chain_that_records_nothing(self, chain_setup):
+        p, cov = chain_setup
+        with pytest.raises(ValueError, match="records no sample"):
+            run_mala(p, eps=0.05, n_iter=100, burn_in=200, cov=cov)
+        with pytest.raises(ValueError, match="records no sample"):
+            run_mala(p, eps=0.05, n_iter=100, burn_in=0, cov=cov, thin=101)
+
+    def test_resume_counts_samples_without_burn_in(self, chain_setup):
+        # a resume skips burn-in, so a burn-in longer than the run is fine
+        # there and the sample count is checked after it is zeroed
+        p, cov = chain_setup
+        first = run_mala(p, eps=0.05, n_iter=200, burn_in=100, cov=cov, step=0.5, thin=20)
+        second = run_mala(
+            p, eps=0.05, n_iter=100, burn_in=200, cov=cov, thin=20, resume=first.state
+        )
+        assert second.burn_in == 0 and second.traces["lc"].size == 5
+        with pytest.raises(ValueError, match="records no sample"):
+            run_mala(p, eps=0.05, n_iter=10, burn_in=0, cov=cov, thin=20, resume=first.state)
+
     def test_gaussian_marginal_moments(self):
         # g = 0 target is the exact path law: the recorded coordinate has
         # mean 0 and variance t^{2H} up to Monte Carlo error
@@ -244,6 +328,7 @@ class TestCheckpoint:
         joined_coord = np.vstack([first.traces["coord"], second.traces["coord"]])
         assert np.array_equal(joined_coord, full.traces["coord"])
         assert np.array_equal(second.state.xr, full.state.xr)
+        assert np.array_equal(second.state.z, full.state.z)
         assert second.state.iteration == 1000
 
     def test_checkpoint_round_trip_fields(self, chain_setup, tmp_path):
@@ -255,6 +340,8 @@ class TestCheckpoint:
         save_checkpoint(ck, res.state)
         back = load_checkpoint(ck)
         assert np.array_equal(back.xr, res.state.xr)
+        assert np.array_equal(back.z, res.state.z)
+        assert np.allclose(back.xr, cov.chol @ back.z, rtol=0.0, atol=1e-13)
         assert back.step == res.state.step
         assert back.iteration == res.state.iteration
         rs_a, rs_b = back.rng_state, res.state.rng_state
@@ -274,6 +361,75 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="sampler"):
             load_checkpoint(ck)
 
+    def test_rejects_state_of_another_grid(self, chain_setup):
+        p, cov = chain_setup
+        res = run_mala(p, eps=0.05, n_iter=100, burn_in=50, cov=cov, step=0.5, thin=10)
+        for other in (replace(p, d=3), replace(p, N=64)):
+            with pytest.raises(ValueError, match="checkpoint state has shape"):
+                run_mala(other, eps=0.05, n_iter=100, burn_in=0, thin=10, resume=res.state)
+
+    def test_rejects_checkpoint_without_whitened_state(self, chain_setup, tmp_path):
+        p, cov = chain_setup
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = run_mala(p, eps=0.05, n_iter=40, burn_in=0, cov=cov, thin=10)
+        ck = tmp_path / "state.npz"
+        save_checkpoint(ck, res.state)
+        with np.load(ck) as f:
+            fields = {k: f[k] for k in f.files if k != "z"}
+        old = tmp_path / "old.npz"
+        np.savez(old, **fields)
+        with pytest.raises(ValueError, match="whitened coordinates z"):
+            load_checkpoint(old)
+
+
+class TestNoSolve:
+    """The whitened chain never touches Sigma: no solve, no read of
+    `cov.sigma`; at g = 0 the pair sum runs only for recorded samples."""
+
+    @pytest.mark.parametrize("g", [0.0, 0.1])
+    def test_fresh_and_resumed_chain(self, g, monkeypatch, tmp_path):
+        p = ModelParams(H=0.5, d=2, N=32, g=g, seed=4)
+        cov = GridCovariance(p)
+        cov.chol  # the factor reads sigma once, before counting starts
+        calls = dict.fromkeys(("solve", "sigma", "raw", "raw_and_grad"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(GridCovariance, "solve", counted("solve", GridCovariance.solve))
+        monkeypatch.setattr(
+            GridCovariance,
+            "sigma",
+            property(counted("sigma", lambda self: build_covariance(self.params, self.grid))),
+        )
+        monkeypatch.setattr(_Target, "raw", counted("raw", _Target.raw))
+        monkeypatch.setattr(_Target, "raw_and_grad", counted("raw_and_grad", _Target.raw_and_grad))
+
+        kwargs = dict(eps=0.05, cov=cov, step=0.5, thin=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            first = run_mala(p, n_iter=400, burn_in=100, **kwargs)
+            ck = tmp_path / "chain.npz"
+            save_checkpoint(ck, first.state)
+            counts = [dict(calls)]
+            second = run_mala(p, n_iter=200, burn_in=0, resume=load_checkpoint(ck), **kwargs)
+        counts.append({k: calls[k] - counts[0][k] for k in calls})
+        for res, n_iter, count in zip((first, second), (400, 200), counts):
+            assert count["solve"] == 0 and count["sigma"] == 0
+            lc = res.traces["lc"]
+            if g == 0.0:
+                # one pair sum per recorded sample whose state is new
+                assert count["raw_and_grad"] == 0
+                assert count["raw"] == 1 + np.count_nonzero(np.diff(lc))
+            else:
+                # the starting state and one proposal per iteration
+                assert count["raw"] == 0
+                assert count["raw_and_grad"] == n_iter + 1
+
 
 class TestBatchMeans:
     def test_iid_scale(self):
@@ -291,3 +447,25 @@ class TestBatchMeans:
         res = run_mala(p, eps=0.05, n_iter=600, burn_in=100, cov=cov, step=0.5, thin=5)
         assert res.stderr("lc") >= 0.0
         assert res.stderr("logpi") >= 0.0
+
+
+class TestSokalIat:
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+    def test_ar1_trace(self, rho):
+        # an AR(1) trace has integrated autocorrelation time (1 + rho) / (1 - rho)
+        n = 2**18
+        e = np.random.default_rng(5).standard_normal(n)
+        x = np.empty(n)
+        x[0] = e[0] / np.sqrt(1.0 - rho * rho)
+        for i in range(1, n):
+            x[i] = rho * x[i - 1] + e[i]
+        expected = (1.0 + rho) / (1.0 - rho)
+        assert abs(sokal_iat(x) / expected - 1.0) < 0.1
+
+    def test_rejects_degenerate_traces(self):
+        with pytest.raises(ValueError, match="1-D trace"):
+            sokal_iat(np.ones(1))
+        with pytest.raises(ValueError, match="1-D trace"):
+            sokal_iat(np.ones((10, 2)))
+        with pytest.raises(ValueError, match="constant"):
+            sokal_iat(np.ones(10))
