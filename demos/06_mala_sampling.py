@@ -59,5 +59,5 @@ with tempfile.TemporaryDirectory() as tmp:
 # a too-large fixed step collapses the acceptance rate and warns
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
-    run_mala(params, eps=eps, n_iter=300, burn_in=0, cov=cov, step=50.0, adapt=False)
+    run_mala(params, eps=eps, n_iter=300, burn_in=0, cov=cov, step=50.0)
 print(f"\noversized step warns: {caught[0].message}")

@@ -196,12 +196,10 @@ def run_mala(
     cov: GridCovariance | None = None,
     step: float = 0.4,
     thin: int = 20,
-    adapt: bool = True,
     resume: ChainState | None = None,
-    record_index: int | None = None,
 ) -> MalaResult:
-    """Run the chain and return thinned traces of the centered SILT, one
-    path coordinate, and log pi.
+    """Run the chain and return thinned traces of the centered SILT, the
+    path at the middle node N // 2, and log pi.
 
     Step size adapts toward the optimal acceptance rate during burn-in only
     (multiplicative updates on block acceptance), then freezes so the chain
@@ -215,10 +213,6 @@ def run_mala(
         cov = GridCovariance(params)
     grid = cov.grid
     target = _Target(params, cov, eps)
-    if record_index is None:
-        record_index = grid.n // 2
-    if not 1 <= record_index < grid.n:
-        raise ValueError("record_index must point at a free grid node")
 
     if resume is not None:
         rng = np.random.Generator(np.random.Philox())
@@ -230,7 +224,6 @@ def run_mala(
         s = float(resume.step)
         it0 = int(resume.iteration)
         burn_in = 0
-        adapt = False
     else:
         rng = stream(params.seed, MALA_STREAM_INDEX)
         z0 = rng.standard_normal((grid.n - 1, params.d))
@@ -260,7 +253,7 @@ def run_mala(
             block_acc += 1
             if it >= burn_in:
                 accepted += 1
-        if adapt and it < burn_in and (it + 1) % ADAPT_EVERY == 0:
+        if it < burn_in and (it + 1) % ADAPT_EVERY == 0:
             rate = block_acc / ADAPT_EVERY
             s *= float(np.exp(0.3 * (rate - ACCEPT_TARGET)))
             s = float(np.clip(s, 1e-6, 1e3))
@@ -271,7 +264,7 @@ def run_mala(
             if cur.raw is None:  # g = 0: the pair sum of recorded states only
                 cur.raw = target.raw(_full(cov.chol @ cur.z))
             lc_tr[rec] = cur.raw - expect
-            coord_tr[rec] = cov.chol[record_index - 1] @ cur.z
+            coord_tr[rec] = cov.chol[grid.n // 2 - 1] @ cur.z
             logpi_tr[rec] = cur.logpi
             rec += 1
 
@@ -309,6 +302,8 @@ def batch_means_stderr(trace: np.ndarray) -> float:
     autocorrelation left after thinning)."""
     trace = np.asarray(trace, dtype=float)
     n = trace.size
+    if trace.ndim != 1:
+        raise ValueError(f"batch means need a 1-D trace, got shape {trace.shape}")
     if n < 4:
         raise ValueError("trace too short for batch means")
     b = max(2, int(np.sqrt(n)))

@@ -7,7 +7,9 @@ The regularized SILT of a path x on [0, T] is
 with the heat kernel p_eps(y) = (2 pi eps)^{-d/2} exp(-|y|^2 / (2 eps)).
 On the grid the double integral is a trapezoid rule over the triangular
 index set {0 <= i < j <= N-1}; the diagonal i = j is excluded (the continuum
-domain is s < t, and the diagonal carries no measure).
+domain is s < t, and the diagonal carries no measure). Pair i < j weighs
+c_ij = w_i w_j with the node weights w = (1/2, 1, ..., 1, 1/2), and the
+batch kernel applies these weights to every pair as it sums them.
 
 Centering subtracts the expectation of exactly the quantity computed: the
 same triangular weights applied to the analytic pair expectation
@@ -120,15 +122,15 @@ def silt_raw_batch(
     are visited by lag, in blocks laid out (paths, B, N) with the long
     i-axis innermost and read through a strided view of the path. Row m of
     a block is circular: x[(i + m) mod N] - x[i] for every i, which are the
-    pairs of lag m and of lag N - m, so rows 1..(N-1)/2 hold every pair
-    once with no padding; an even N adds the half row of lag N/2 at the
-    end. B keeps a block near _BLOCK_ELEMENTS, which fits in cache.
-    Every pair enters at weight 1; after the lag loop the trapezoid ends are
-    corrected once: half of the i = 0 and of the j = N-1 pairs come off and
-    a quarter of the corner pair goes back. When -1/(2 eps) doubles from one
-    eps to the next, as down a dyadic ladder, that rung is the previous one
-    squared in place, so a ladder costs one exp per pair. Memory is the
-    chunk written twice in a row and two block buffers, O(M N d) in all.
+    pairs of lag m and of lag N - m, so rows 1..N/2 hold every pair once
+    with no padding; the lag-N/2 row of an even N holds its pairs twice
+    and weighs the second half 0. Each row is summed once with its
+    trapezoid pair weights, w_i w_((i+m) mod N) at node i, so the ends need
+    no second pass. B keeps a block near _BLOCK_ELEMENTS, which fits in
+    cache. When -1/(2 eps) doubles from one eps to the next, as down a
+    dyadic ladder, that rung is the previous one squared in place, so a
+    ladder costs one exp per pair. Memory is the chunk written twice in a
+    row and two block buffers, O(M N d) in all.
     """
     return _raw_family(values, grid, np.zeros(values.shape[1:]), [0.0], epsilons, threads)[:, 0]
 
@@ -182,7 +184,8 @@ def _lag_block_sums(
     x: np.ndarray, k: np.ndarray, moved: list, us: np.ndarray, rates: np.ndarray, squares: np.ndarray
 ) -> np.ndarray:
     """Trapezoid sums of exp(rate * |dx + u dk|^2) over i < j, (P, n_u,
-    n_rates), for paths x (P, N, d) and direction k (N, d)."""
+    n_rates), for paths x (P, N, d) and direction k (N, d), in one pass
+    over the circular lag rows 1..N/2, each weighted by its pair weights."""
     p, n, d = x.shape
     acc = np.zeros((p, us.size, rates.size))
     # the paths and then k, laid out (d, P + 1, N) and written twice along
@@ -192,31 +195,24 @@ def _lag_block_sums(
     twice = np.empty((d, p + 1, 2 * n))
     twice[:, :p, :n] = twice[:, :p, n:] = np.moveaxis(x, 2, 0)
     twice[:, p, :n] = twice[:, p, n:] = k.T
-    rows, z = sliding_window_view(twice, n, axis=2), twice[:, :, :n]
-    last = (n - 1) // 2
+    rows = sliding_window_view(twice, n, axis=2)
+    # node i of row m weighs the pair (i, (i + m) mod N) by w_i w_((i+m) mod N);
+    # the lag-N/2 row of an even N repeats its first half, so the second gets 0
+    w = _node_weights(n)
+    pair_w = sliding_window_view(np.concatenate([w, w]), n)
+    half = n // 2
     b = max(1, _BLOCK_ELEMENTS // (p * n))
-    slots = 4 if moved else 2
-    buf = np.empty((slots, p * b * n))
-    for m0 in range(1, last + 1, b):
-        r = min(b, last + 1 - m0)
+    buf = np.empty((4 if moved else 2, p * b * n))
+    for m0 in range(1, half + 1, b):
+        r = min(b, half + 1 - m0)
+        c = pair_w[m0 : m0 + r] * w
+        if n % 2 == 0 and m0 + r > half:
+            c[-1, half:] = 0.0
         pairs = rows[:, :, m0 : m0 + r], rows[:, :, :1]
         for i, j, e in _family_terms(*pairs, moved, us, rates, squares, buf):
-            acc[:, i, j] += e.reshape(p, -1).sum(axis=1)
-    # the lag N/2 of an even N at weight 1, then the trapezoid ends at -1/2:
-    # pairs (0, j) and (i, N-1); the corner (0, N-1) is in both, once at
-    # -1/4, which leaves it at 1/4
-    h = n // 2 if n % 2 == 0 else 0
-    ahead = np.concatenate(
-        [z[:, :, n - h :], z[:, :, 1:], np.broadcast_to(z[:, :, -1:], (d, p + 1, n - 1))], axis=2
-    )
-    behind = np.concatenate(
-        [z[:, :, :h], np.broadcast_to(z[:, :, :1], (d, p + 1, n - 1)), z[:, :, :-1]], axis=2
-    )
-    weights = np.concatenate([np.ones(h), np.full(2 * n - 2, -0.5)])
-    weights[h + n - 1] = -0.25
-    buf = np.empty((slots, p * weights.size))
-    for i, j, e in _family_terms(ahead, behind, moved, us, rates, squares, buf):
-        acc[:, i, j] += e @ weights
+            # einsum, not BLAS: a threaded gemv in each kernel worker
+            # oversubscribes the cores
+            acc[:, i, j] += np.einsum("pri,ri->p", e, c)
     return acc
 
 

@@ -247,7 +247,6 @@ class TestRunMala:
                 burn_in=0,
                 cov=cov,
                 step=1e-6,
-                adapt=False,
             )
         assert res.acceptance_rate >= 0.99
 
@@ -261,21 +260,12 @@ class TestRunMala:
                 burn_in=0,
                 cov=cov,
                 step=80.0,
-                adapt=False,
             )
 
     def test_validation(self, chain_setup):
         p, cov = chain_setup
         with pytest.raises(ValueError, match="n_iter"):
             run_mala(p, eps=0.05, n_iter=0, burn_in=0, cov=cov)
-        with pytest.raises(ValueError, match="record_index"):
-            run_mala(
-                p, eps=0.05, n_iter=10, burn_in=0, cov=cov, record_index=0
-            )
-        with pytest.raises(ValueError, match="record_index"):
-            run_mala(
-                p, eps=0.05, n_iter=10, burn_in=0, cov=cov, record_index=32
-            )
 
     def test_rejects_chain_that_records_nothing(self, chain_setup):
         p, cov = chain_setup
@@ -447,6 +437,15 @@ class TestBatchMeans:
         res = run_mala(p, eps=0.05, n_iter=600, burn_in=100, cov=cov, step=0.5, thin=5)
         assert res.stderr("lc") >= 0.0
         assert res.stderr("logpi") >= 0.0
+
+    def test_coordinate_trace_is_rejected_by_name(self, chain_setup):
+        # the (n, d) coordinate trace holds n d values; batch means of its
+        # flat values would mix the components
+        p, cov = chain_setup
+        res = run_mala(p, eps=0.05, n_iter=100, burn_in=0, cov=cov, step=0.8, thin=1)
+        assert res.traces["coord"].shape == (100, p.d)
+        with pytest.raises(ValueError, match=r"1-D trace, got shape \(100, 2\)"):
+            res.stderr("coord")
 
 
 class TestSokalIat:

@@ -174,36 +174,53 @@ class TestSiltBatch:
             single = silt_raw_batch(vals, cov.grid, [e])[:, 0]
             assert np.max(np.abs(ladder[:, k] / single - 1.0)) < 1e-13
 
-    @pytest.mark.parametrize("m, n", [(4, 512), (3, 511), (300, 64)])
+    @pytest.mark.parametrize("m, n", [(4, 512), (3, 511), (300, 64), (5, 2), (5, 3), (4, 65)])
     def test_lag_blocks_match_pair_weights(self, m, n):
         # several lag blocks with a partial last one, and a partial last
-        # path chunk, against the trapezoid pair weights summed directly
+        # path chunk, against the trapezoid pair weights summed directly;
+        # the rows of the shifted family against the same sums on x + u k
         p = ModelParams(H=0.5, d=2, N=n, seed=11)
         cov = GridCovariance(p)
         vals = sample_fbm_batch(p, m, cov=cov)
         eps = LadderConfig(eps0=0.1, levels=4).epsilons
+        k = np.sin(np.pi * cov.grid.points)[:, None] * np.array([1.0, -0.5])
+        us = [0.0, -0.7, 1.5]
         out = silt_raw_batch(vals, cov.grid, eps)
+        shifted = silt_raw_shifted(vals, cov.grid, k, us, eps)
         i_idx, j_idx, c = pair_cache(n)
-        sq = np.sum((vals[:, j_idx] - vals[:, i_idx]) ** 2, axis=2)
-        for k, e in enumerate(eps):
-            ref = cov.grid.spacing**2 * (2.0 * np.pi * e) ** -1.0 * (np.exp(-sq / (2.0 * e)) @ c)
-            assert np.max(np.abs(out[:, k] / ref - 1.0)) < 1e-12
+        for got, u in [(out, 0.0)] + [(shifted[:, i], u) for i, u in enumerate(us)]:
+            x = vals + u * k
+            sq = np.sum((x[:, j_idx] - x[:, i_idx]) ** 2, axis=2)
+            for k_eps, e in enumerate(eps):
+                ref = cov.grid.spacing**2 * (2.0 * np.pi * e) ** -1.0 * (np.exp(-sq / (2.0 * e)) @ c)
+                assert np.max(np.abs(got[:, k_eps] / ref - 1.0)) < 1e-12
 
     def test_memory_stays_linear_in_paths_and_grid(self):
         # the O(M N^2) pair temporaries would be hundreds of MB at N = 4096
-        # (Brownian paths by cumulative sums, to skip the O(N^3) factor)
+        # (Brownian paths by cumulative sums, to skip the O(N^3) factor); 64
+        # paths are 4 MB of values, and the lag blocks stay near
+        # _BLOCK_ELEMENTS whether the family is shifted or not (one rung
+        # there: the ladder adds no buffer)
         grid = make_grid(ModelParams(H=0.5, d=2, N=4096))
-        steps = np.random.default_rng(2).standard_normal((4, 4095, 2)) * np.sqrt(grid.spacing)
-        vals = np.concatenate([np.zeros((4, 1, 2)), np.cumsum(steps, axis=1)], axis=1)
+        steps = np.random.default_rng(2).standard_normal((64, 4095, 2)) * np.sqrt(grid.spacing)
+        vals = np.concatenate([np.zeros((64, 1, 2)), np.cumsum(steps, axis=1)], axis=1)
         eps = LadderConfig(eps0=0.1, levels=4).epsilons
-        tracemalloc.start()
-        try:
-            out = silt_raw_batch(vals, grid, eps)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert np.all(np.isfinite(out)) and np.all(out > 0.0)
-        assert peak < 32 * 2**20
+        k = np.zeros((4096, 2))
+        k[:, 0] = np.sin(np.pi * grid.points)
+        cases = [
+            (lambda: silt_raw_batch(vals[:4], grid, eps), 32),
+            (lambda: silt_raw_batch(vals, grid, eps[:1]), 24),
+            (lambda: silt_raw_shifted(vals, grid, k, [0.5], eps[:1]), 24),
+        ]
+        for run, bound_mb in cases:
+            tracemalloc.start()
+            try:
+                out = run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert np.all(np.isfinite(out)) and np.all(out > 0.0)
+            assert peak < bound_mb * 2**20
 
     def test_validation(self, small_cov):
         vals = np.zeros((3, 64, 2))
