@@ -422,6 +422,16 @@ def _prepare_outdir(cfg: RunConfig, args, subcommand: str) -> Path:
     return outdir
 
 
+def _numpy_blas() -> dict | None:
+    """Name and version of the BLAS numpy was built against, from its build
+    config; None where numpy cannot report it as a dict (before 1.26)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return {"name": blas["name"], "version": blas["version"]}
+    except (TypeError, KeyError):
+        return None
+
+
 def _environment() -> dict:
     """Versions and thread settings of the run; imports scipy's top level only."""
     import scipy
@@ -429,6 +439,7 @@ def _environment() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas": _numpy_blas(),
         "scipy": scipy.__version__,
         "nproc": len(affinity(0)) if affinity else os.cpu_count(),
         **{k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},

@@ -11,8 +11,8 @@ Cholesky factor of the grid covariance (t_0 = 0 excluded, where the path is
 pinned to zero), shared by every path and component. The covariance and its
 factor are built on first use. Single paths and batches share one draw
 routine: one product with the factor, or one spectrum and one batched FFT,
-per chunk of paths. scipy.linalg is imported by the factor and the solve
-when first called, so a circulant draw loads no scipy module.
+per chunk of paths. The factor and the solve use numpy's LAPACK alone, so
+this module loads no scipy module and no second OpenBLAS beside numpy's.
 """
 
 from __future__ import annotations
@@ -38,6 +38,12 @@ _CIRCULANT_MIN_N = 3072
 # rounds a trailing partial block of 8 columns (and numpy a lone column)
 # differently, which would make a replica's bits depend on its chunk.
 _GEMM_COLUMNS = 8
+# Rows per block of GridCovariance.solve's substitutions: each diagonal
+# block is one np.linalg.solve, each off-diagonal update one matmul. Beside a
+# busy 2-thread matmul on 2 cores, an N = 256 solve took 0.35 ms with 64-row
+# blocks and 0.48 s with 128-row ones (median of 7), which fits OpenBLAS
+# threading the LU of the larger block and waiting for the busy cores.
+_SOLVE_BLOCK = 64
 
 
 def cov_h(H: float, t, s):
@@ -65,28 +71,45 @@ def build_covariance(params: ModelParams, grid: TimeGrid) -> np.ndarray:
 def _cholesky_with_jitter(sigma: np.ndarray) -> tuple[np.ndarray, bool]:
     """Lower Cholesky factor; one jitter retry of 1e-12 * trace/N, then fail.
 
-    Returns (L, jittered). Failure raises LinAlgError naming the offending
-    leading minor.
+    Returns (L, jittered), L in Fortran order as LAPACK writes it: the bits
+    of the products with L and L^T depend on that layout. Failure raises
+    LinAlgError naming the offending leading minor, which numpy does not
+    report: it is found by bisection on leading blocks.
     """
-    import scipy.linalg
-    c, info = scipy.linalg.lapack.dpotrf(sigma, lower=1, clean=1, overwrite_a=0)
-    if info == 0:
-        return c, False
+    try:
+        return np.asfortranarray(np.linalg.cholesky(sigma)), False
+    except np.linalg.LinAlgError:
+        pass
     n = sigma.shape[0]
     jitter = 1e-12 * np.trace(sigma) / n
     bumped = sigma + jitter * np.eye(n)
-    c, info = scipy.linalg.lapack.dpotrf(bumped, lower=1, clean=1, overwrite_a=0)
-    if info == 0:
-        warnings.warn(
-            f"covariance required diagonal jitter {jitter:.3e} to factor",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return c, True
-    raise np.linalg.LinAlgError(
-        f"covariance is not positive definite: leading minor {info} "
-        f"failed even after jitter {jitter:.3e}"
+    try:
+        chol = np.linalg.cholesky(bumped)
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError(
+            f"covariance is not positive definite: leading minor "
+            f"{_failing_minor(bumped)} failed even after jitter {jitter:.3e}"
+        ) from None
+    warnings.warn(
+        f"covariance required diagonal jitter {jitter:.3e} to factor",
+        RuntimeWarning,
+        stacklevel=3,
     )
+    return np.asfortranarray(chol), True
+
+
+def _failing_minor(a: np.ndarray) -> int:
+    """Order of the smallest leading block of `a` that does not factor;
+    `a` itself must not."""
+    good, bad = 0, a.shape[0]
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            np.linalg.cholesky(a[:mid, :mid])
+            good = mid
+        except np.linalg.LinAlgError:
+            bad = mid
+    return bad
 
 
 class GridCovariance:
@@ -120,18 +143,26 @@ class GridCovariance:
         return self._factor[1]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve sigma @ x = b by LAPACK potrs on the cached factor.
+        """Solve sigma @ x = b, b of shape (N-1,) or (N-1, k), on the cached
+        factor: blocked forward substitution with L, then back substitution
+        with L^T, O(N^2) per column.
 
         A NaN or inf in b raises ValueError; only b is scanned, since the
         factor is finite once built."""
-        import scipy.linalg
         b = np.asarray(b, dtype=float)
         if not np.isfinite(b).all():
             raise ValueError("right-hand side contains NaN or inf")
-        x, info = scipy.linalg.lapack.dpotrs(self.chol, b, lower=1)
-        if info != 0:
-            raise ValueError(f"potrs rejected argument {-info}")
-        return x
+        chol = self.chol
+        n = chol.shape[0]
+        if b.ndim not in (1, 2) or b.shape[0] != n:
+            raise ValueError(f"right-hand side must have {n} rows, got shape {b.shape}")
+        x = b.reshape(n, -1).copy()
+        blocks = [(lo, min(lo + _SOLVE_BLOCK, n)) for lo in range(0, n, _SOLVE_BLOCK)]
+        for lo, hi in blocks:
+            x[lo:hi] = np.linalg.solve(chol[lo:hi, lo:hi], x[lo:hi] - chol[lo:hi, :lo] @ x[:lo])
+        for lo, hi in reversed(blocks):
+            x[lo:hi] = np.linalg.solve(chol[lo:hi, lo:hi].T, x[lo:hi] - chol[hi:, lo:hi].T @ x[hi:])
+        return x.reshape(b.shape)
 
     def factor_residual(self) -> float:
         """Relative Frobenius error of L L^T against sigma."""

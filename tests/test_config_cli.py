@@ -198,9 +198,16 @@ class TestCliSampleFbm:
         env = json.loads((out / "sample-fbm" / "manifest.json").read_text())["environment"]
         assert env["python"] == platform.python_version()
         assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
         assert 1 <= env["nproc"] <= os.cpu_count()
         assert env["OMP_NUM_THREADS"] == "1"
         assert env["OPENBLAS_NUM_THREADS"] is None
+        # numpy before 1.26 has no show_config(mode=...): the entry is null
+        monkeypatch.setattr(np, "show_config", lambda: None)
+        assert _run(["sample-fbm", "--n", "16", "--out", str(out)]) == 0
+        env = json.loads((out / "sample-fbm" / "manifest.json").read_text())["environment"]
+        assert env["blas"] is None
 
     def test_env_var_overrides_flag(self, outdir, monkeypatch):
         envdir = outdir / "from_env"

@@ -89,6 +89,40 @@ class TestGridCovariance:
         x = small_cov.solve(b)
         assert np.allclose(small_cov.sigma @ x, b, rtol=1e-9, atol=1e-12)
 
+    @staticmethod
+    def assert_backward_stable(cov, b):
+        # |L L^T x - b| on the scale of the factor and of x
+        x = cov.solve(b)
+        assert x.shape == b.shape
+        chol = cov.chol
+        scale = cov.grid.n * np.max(np.abs(chol)) ** 2 * np.max(np.abs(x))
+        assert np.max(np.abs(chol @ (chol.T @ x) - b)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n", [129, 300, 1024])
+    @pytest.mark.parametrize("h", [0.05, 0.5, 0.95])
+    def test_blocked_solve(self, n, h):
+        # the property tests stay inside one block; here N - 1 = 128 rows
+        # fill whole blocks, and 299 and 1023 rows end in a partial one
+        cov = GridCovariance(ModelParams(H=h, N=n))
+        assert cov.chol.flags.f_contiguous
+        b = np.random.default_rng(n).standard_normal((n - 1, 2))
+        self.assert_backward_stable(cov, b)
+        self.assert_backward_stable(cov, b[:, 1])
+
+    def test_blocked_solve_on_jittered_factor(self):
+        # a rank-deficient sigma, factored only after the jitter retry
+        cov = GridCovariance(ModelParams(N=300))
+        v = np.random.default_rng(1).standard_normal((299, 150))
+        cov.sigma = v @ v.T
+        with pytest.warns(RuntimeWarning, match="jitter"):
+            assert cov.jittered
+        assert cov.chol.flags.f_contiguous
+        self.assert_backward_stable(cov, v[:, :3])
+
+    def test_solve_rejects_wrong_row_count(self, small_cov):
+        with pytest.raises(ValueError, match="rows"):
+            small_cov.solve(np.ones(small_cov.sigma.shape[0] + 1))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_solve_rejects_non_finite_rhs(self, small_cov, bad):
         b = np.ones((small_cov.sigma.shape[0], 2))
@@ -133,6 +167,15 @@ class TestGridCovariance:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 _cholesky_with_jitter(a)
+
+    def test_failing_minor_found_by_bisection(self):
+        for order in (1, 4, 7):
+            a = np.eye(9)
+            a[order - 1, order - 1] = -1.0
+            with pytest.raises(np.linalg.LinAlgError, match=f"leading minor {order} "):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    _cholesky_with_jitter(a)
 
 
 class TestSampleFbm:

@@ -1,11 +1,13 @@
 """The import contract: a run loads only the scipy submodules it calls.
 
 scipy.integrate and scipy.special serve only the continuum quadrature
-references, which no CLI subcommand calls; scipy.linalg serves the
-covariance factor and solve, which a circulant-embedding grid never builds.
-The manifest's environment block is written by every run below, so it too
-is held to the contract. Every check runs in a fresh interpreter, since this
-session has long since imported everything.
+references, which no CLI subcommand calls; scipy.linalg serves only the
+MALA target, so `quantize-run` is the one subcommand that loads it. The
+covariance factor and solve use numpy's LAPACK, so a run that builds them
+maps numpy's OpenBLAS and no second one. The manifest's environment block
+is written by every run below, so it too is held to the contract. Every
+check runs in a fresh interpreter, since this session has long since
+imported everything.
 """
 
 import json
@@ -14,6 +16,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from edwardsim import (
     ModelParams,
@@ -61,37 +64,69 @@ def run_fresh(body: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def scipy_modules_after(argvs: list[list[str]]) -> set[str]:
-    """scipy modules loaded once the CLI has run every argv in turn."""
+def loaded_after(argv_groups: list[list[list[str]]]) -> list[dict]:
+    """Run the CLI on every argv in turn, and after each group note the scipy
+    modules loaded and the number of OpenBLAS libraries mapped (None where
+    /proc/self/maps is absent)."""
     body = (
+        "import os\n"
         "from edwardsim.cli import main\n"
-        f"for argv in {argvs!r}:\n"
-        "    assert main(argv) == 0, argv\n"
-        "RESULT = sorted(m for m in sys.modules if m.startswith('scipy.'))\n"
+        "RESULT = []\n"
+        f"for group in {argv_groups!r}:\n"
+        "    for argv in group:\n"
+        "        assert main(argv) == 0, argv\n"
+        "    blas = None\n"
+        "    if os.path.exists('/proc/self/maps'):\n"
+        "        with open('/proc/self/maps') as fh:\n"
+        "            blas = len({ln.split()[-1] for ln in fh if 'openblas' in ln.lower()})\n"
+        "    scipy = sorted(m for m in sys.modules if m.startswith('scipy.'))\n"
+        "    RESULT.append({'scipy': scipy, 'openblas': blas})\n"
     )
-    return set(run_fresh(body))
+    return [{"scipy": set(r["scipy"]), "openblas": r["openblas"]} for r in run_fresh(body)]
 
 
-def test_subcommands_load_no_quadrature_stack(tmp_path):
-    small = ["--n", "64", "--seed", "3", "--out", str(tmp_path)]
-    loaded = scipy_modules_after(
+@pytest.fixture(scope="module")
+def non_chain_then_chain(tmp_path_factory):
+    """What the five subcommands that build no chain load at N = 64, and
+    then what a short chain adds, in one fresh interpreter."""
+    small = ["--n", "64", "--seed", "3", "--out", str(tmp_path_factory.mktemp("imports"))]
+    return loaded_after(
         [
-            ["sample-fbm", "--paths", "2", *small],
-            ["silt", "--paths", "2", "--levels", "4", *small],
-            ["holder-check", "--paths", "4", *small],
-            ["density-scan", "--paths", "4", "--n-u", "3", *small],
-            ["edwards-estimate", "--paths", "8", "--levels", "4", *small],
-            ["quantize-run", "--iterations", "20", "--burn-in", "0", "--thin", "1", *small],
+            [
+                ["sample-fbm", "--paths", "2", *small],
+                ["silt", "--paths", "2", "--levels", "4", *small],
+                ["holder-check", "--paths", "4", *small],
+                ["density-scan", "--paths", "4", "--n-u", "3", *small],
+                ["edwards-estimate", "--paths", "8", "--levels", "4", *small],
+            ],
+            [["quantize-run", "--iterations", "20", "--burn-in", "0", "--thin", "1", *small]],
         ]
     )
-    assert "scipy.linalg" in loaded  # the factor at N = 64 is built
+
+
+def test_non_chain_subcommands_load_no_scipy_submodule(non_chain_then_chain):
+    # each of them builds the N = 64 factor; holder-check and density-scan
+    # also solve with it
+    assert not {"scipy.linalg", "scipy.integrate", "scipy.special"} & non_chain_then_chain[0]["scipy"]
+
+
+def test_non_chain_subcommands_map_one_openblas(non_chain_then_chain):
+    count = non_chain_then_chain[0]["openblas"]
+    if count is None:
+        pytest.skip("no /proc/self/maps to count mapped libraries")
+    assert count == 1
+
+
+def test_subcommands_load_no_quadrature_stack(non_chain_then_chain):
+    loaded = non_chain_then_chain[1]["scipy"]
+    assert "scipy.linalg" in loaded  # the MALA target's dgemm, only
     assert "scipy.integrate" not in loaded
     assert "scipy.special" not in loaded
 
 
 def test_circulant_grid_runs_load_no_scipy_submodule(tmp_path):
     large = ["--n", "3072", "--paths", "2", "--out", str(tmp_path)]
-    loaded = scipy_modules_after([["sample-fbm", *large], ["silt", "--levels", "4", *large]])
+    loaded = loaded_after([[["sample-fbm", *large], ["silt", "--levels", "4", *large]]])[0]["scipy"]
     assert not {"scipy.linalg", "scipy.integrate", "scipy.special"} & loaded
 
 
