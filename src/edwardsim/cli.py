@@ -248,6 +248,12 @@ def _cmd_edwards_estimate(cfg: RunConfig, args, outdir: Path) -> list[Path]:
     return [wtable, summary]
 
 
+def _iat(trace: np.ndarray) -> float | None:
+    """Sokal IAT of one chain trace; None for a trace that no accepted step
+    moved, which has no autocorrelation time."""
+    return None if np.all(trace == trace[0]) else sokal_iat(trace)
+
+
 def _cmd_quantize_run(cfg: RunConfig, args, outdir: Path) -> list[Path]:
     params = cfg.model_params()
     cov = GridCovariance(params)
@@ -288,7 +294,9 @@ def _cmd_quantize_run(cfg: RunConfig, args, outdir: Path) -> list[Path]:
             "acceptance": result.acceptance_rate,
             "step": result.step,
             "resumed_from": str(args.resume) if getattr(args, "resume", None) else None,
-            "lc_iat": sokal_iat(lc),
+            "lc_iat": _iat(lc),
+            "coord_iat": [_iat(c) for c in coord.T],
+            "logpi_iat": _iat(logpi),
             "means": {
                 "lc": {"mean": float(lc.mean()), "stderr": batch_means_stderr(lc)},
                 "logpi": {"mean": float(logpi.mean()), "stderr": batch_means_stderr(logpi)},

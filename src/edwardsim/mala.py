@@ -20,11 +20,13 @@ with K_ii = 0, and the trapezoid node weights w = (1/2, 1, ..., 1, 1/2):
     L_eps = (scale / 2) w^T K w,
     grad_i L_eps = (scale / eps) w_i [(K (w x))_i - (K w)_i x_i],
 
-with scale = spacing^2 (2 pi eps)^{-d/2}. Per iteration: one rank-one
-BLAS product -2 x_c x_c^T per component, one rank-two product
-[|x|^2, 1] [1, |x|^2]^T for the norm sum, one exp and one product of K with
-[w, w x]. Every entry of those products is a single rounding of a
-commutative expression, so K is bit-symmetric whatever tiles the BLAS uses.
+with scale = spacing^2 (2 pi eps)^{-d/2}. Per iteration, d + 2 N x N passes
+(four at d = 2), all in one reused buffer: the rank-two BLAS product
+rate [|x|^2, 1] [1, |x|^2]^T writes K (rate = -1 / (2 eps)), one rank-one
+product -2 rate x_c x_c^T per component accumulates into it, and exp runs in
+place; then one product of K with [w, w x]. Every entry of the products is
+a single rounding of a commutative expression, and each accumulation adds
+it to an entry that is already symmetric, so K is bit-symmetric.
 """
 
 from __future__ import annotations
@@ -72,38 +74,40 @@ class _Target:
         grid = cov.grid
         self.w = _node_weights(grid.n)
         self.scale = grid.spacing**2 * (2.0 * np.pi * self.eps) ** (-0.5 * params.d)
-        # N x N buffers reused by every call: fresh ones cross glibc's default
-        # mmap and trim thresholds and are faulted in again each iteration
+        # N x N buffer reused by every call: a fresh one crosses glibc's
+        # default mmap and trim thresholds and is faulted in again each iteration
         self._k = np.empty((grid.n, grid.n))
-        self._sums = np.empty((grid.n, grid.n))
         # columns |x_i|^2 and 1: the two factors of the norm sum
         self._norms = np.ones((grid.n, 2))
+        # right-hand side [w, w x] of the gradient's product with K, and the product
+        self._rhs = np.empty((grid.n, params.d + 1))
+        self._rhs[:, 0] = self.w
+        self._kb = np.empty((grid.n, params.d + 1))
 
     def _kernel(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pair kernel K_ij = exp(-|x_i - x_j|^2 / 2 eps) of one path with a
         zero diagonal, and the path centered over the nodes.
 
         Centering keeps |x_i|^2 + |x_j|^2 - 2 x_i . x_j from cancelling
-        against an offset. -2 x x^T is summed from one rank-one product per
-        component (beta = 0, written into the reused buffers), and
-        |x_i|^2 + |x_j|^2 is the rank-two product [|x|^2, 1] [1, |x|^2]^T.
-        Each entry of a rank-one product is one rounded product x_ic x_jc,
-        and each norm sum one rounding of |x_i|^2 + |x_j|^2, so K is
-        bit-symmetric by construction; a single product x (-2 x)^T is not.
+        against an offset. With rate = -1 / (2 eps) in the BLAS alphas, the
+        rank-two product rate [|x|^2, 1] [1, |x|^2]^T writes K and one
+        rank-one product -2 rate x_c x_c^T per component accumulates into it
+        (beta = 1); then exp runs in place. K is bit-symmetric by
+        construction: each norm sum is one rounding of the commutative
+        |x_i|^2 + |x_j|^2, each entry of a rank-one product one rounded
+        x_ic x_jc, and each update alpha p + C_ij lands on a C that is
+        already symmetric. A single product x (-2 x)^T is not symmetric.
         The next call overwrites K."""
         x = x - x.mean(axis=0)
-        k, scratch, norms, dgemm = self._k, self._sums, self._norms, self._dgemm
-        # symmetric results, so the C-ordered buffers are written through
-        # their Fortran-ordered transposes
+        k, norms, dgemm = self._k, self._norms, self._dgemm
+        rate = -0.5 / self.eps
+        np.einsum("ij,ij->i", x, x, out=norms[:, 0])
+        # symmetric results, so the C-ordered buffer is written through its
+        # Fortran-ordered transpose
+        dgemm(rate, norms, norms[:, ::-1], trans_b=1, c=k.T, overwrite_c=1)
         for comp in range(x.shape[1]):
             col = x[:, comp : comp + 1]
-            dgemm(-2.0, col, col, trans_b=1, c=(scratch if comp else k).T, overwrite_c=1)
-            if comp:
-                k += scratch
-        np.einsum("ij,ij->i", x, x, out=norms[:, 0])
-        dgemm(1.0, norms, norms[:, ::-1], trans_b=1, c=scratch.T, overwrite_c=1)
-        k += scratch
-        k *= -0.5 / self.eps
+            dgemm(-2.0 * rate, col, col, beta=1.0, trans_b=1, c=k.T, overwrite_c=1)
         np.exp(k, out=k)
         np.fill_diagonal(k, 0.0)
         return k, x
@@ -117,9 +121,12 @@ class _Target:
         """SILT of the full path and its gradient in the free coordinates
         x[1:]; one product of K with [w, w x] feeds both."""
         k, x = self._kernel(x)
-        w = self.w
-        kb = k @ np.column_stack([w, w[:, None] * x])
+        w, rhs, kb = self.w, self._rhs, self._kb
+        np.multiply(w[:, None], x, out=rhs[:, 1:])
+        np.matmul(k, rhs, out=kb)
         kw = kb[:, 0]
+        # a fresh array: the chain keeps the current state's gradient while
+        # the next call overwrites the buffers
         grad = (self.scale / self.eps) * w[:, None] * (kb[:, 1:] - kw[:, None] * x)
         return 0.5 * self.scale * float(w @ kw), grad[1:]
 
@@ -319,11 +326,12 @@ def sokal_iat(trace: np.ndarray, c: float = 5.0) -> float:
     n = x.size
     if x.ndim != 1 or n < 2:
         raise ValueError("need a 1-D trace of at least 2 samples for an autocorrelation time")
+    # tested before centering: x - x.mean() of a constant trace need not be zero
+    if np.all(x == x[0]):
+        raise ValueError("constant trace has no autocorrelation time")
     x = x - x.mean()
     f = np.fft.rfft(x, 2 * n)
     acf = np.fft.irfft(f * np.conj(f), 2 * n)[:n]
-    if acf[0] == 0.0:
-        raise ValueError("constant trace has no autocorrelation time")
     tau = 2.0 * np.cumsum(acf / acf[0]) - 1.0
     window = np.arange(n) >= c * tau
     m = int(np.argmax(window)) if window.any() else n - 1

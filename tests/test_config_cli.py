@@ -331,10 +331,26 @@ class TestCliMala:
         ]
         assert _run(argv) == 0
         sub = out / "quantize-run"
-        lc = np.loadtxt(sub / "mala_trace.csv", delimiter=",", skiprows=1)[:, 1]
+        trace = np.loadtxt(sub / "mala_trace.csv", delimiter=",", skiprows=1)
         summary = json.loads((sub / "mala_summary.json").read_text())
-        assert summary["lc_iat"] == sokal_iat(lc)
+        assert summary["lc_iat"] == sokal_iat(trace[:, 1])
         assert summary["lc_iat"] >= 1.0
+        assert summary["coord_iat"] == [sokal_iat(trace[:, c]) for c in (2, 3)]
+        assert summary["logpi_iat"] == sokal_iat(trace[:, 4])
+
+    def test_chain_that_never_moves_writes_null_iats(self, outdir):
+        # a step this large accepts nothing, so every trace is constant
+        out = outdir / "run"
+        argv = [
+            "quantize-run", "--n", "32", "--iterations", "50", "--burn-in", "0",
+            "--thin", "1", "--step", "1000", "--out", str(out),
+        ]
+        assert _run(argv) == 0
+        summary = json.loads((out / "quantize-run" / "mala_summary.json").read_text())
+        assert summary["acceptance"] == 0.0
+        assert summary["lc_iat"] is None
+        assert summary["coord_iat"] == [None, None]
+        assert summary["logpi_iat"] is None
 
     def test_resume_accepts_a_burn_in_longer_than_the_run(self, outdir):
         # a resume skips burn-in, so --burn-in only matters on a fresh run

@@ -14,6 +14,7 @@ from edwardsim import (
     run_mala,
     save_checkpoint,
     silt_raw,
+    silt_raw_batch,
     sokal_iat,
 )
 from edwardsim.mala import _Target, _full, _make_state, _propose
@@ -39,6 +40,34 @@ class TestTarget:
             x = _full(xr)
             path = SimpleNamespace(values=x, grid=cov.grid)
             assert abs(target.raw(x) / silt_raw(path, 0.05) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    @pytest.mark.parametrize("eps", [0.02, 0.00625])
+    def test_raw_matches_silt_at_benchmark_scale(self, eps, offset):
+        # the chain config (N = 256, d = 2, eps 0.02) and the desk grid's eps
+        p = ModelParams(H=0.5, d=2, T=1.0, g=0.1, N=256, seed=0)
+        cov = GridCovariance(p)
+        target = _Target(p, cov, eps)
+        rng = np.random.default_rng(256)
+        xs = np.stack([_full(_random_free_coords(cov, rng)) for _ in range(3)]) + offset
+        batch = silt_raw_batch(xs, cov.grid, [eps])[:, 0]
+        for x, ref in zip(xs, batch):
+            assert abs(target.raw(x) / ref - 1.0) < 1e-12
+            assert abs(target.raw_and_grad(x)[0] / ref - 1.0) < 1e-12
+
+    def test_gradient_survives_later_calls(self, chain_setup, rng):
+        # the chain keeps the current state's gradient while it evaluates
+        # the proposal, so no returned gradient may alias a reused buffer
+        p, cov = chain_setup
+        target = _Target(p, cov, 0.05)
+        x1 = _full(_random_free_coords(cov, rng))
+        x2 = _full(_random_free_coords(cov, rng))
+        _, grad1 = target.raw_and_grad(x1)
+        kept = grad1.copy()
+        target.raw_and_grad(x2)
+        target.raw(x2)
+        assert np.array_equal(grad1, kept)
+        assert np.array_equal(grad1, _Target(p, cov, 0.05).raw_and_grad(x1)[1])
 
     def test_rejects_bad_eps(self, chain_setup):
         p, cov = chain_setup
@@ -199,7 +228,11 @@ class TestGramKernel:
             assert np.max(np.abs(grad - ref_grad)) <= 1e-10 * np.max(np.abs(ref_grad))
 
     @pytest.mark.parametrize(
-        "n, d", [(3, 1), (64, 2), (255, 3), (256, 2), (257, 2), (1024, 2), (256, 1)]
+        "n, d",
+        [(3, 1), (64, 2), (255, 3), (256, 2), (257, 2), (1024, 2), (256, 1)]
+        # sizes off the BLAS tile widths, where an edge tile could round the
+        # beta = 1 update alpha p + C_ij differently from its mirror
+        + [(n, d) for n in (5, 13, 127, 129, 383, 513) for d in (1, 2, 3)],
     )
     def test_kernel_is_bit_symmetric(self, n, d):
         p = ModelParams(H=0.5, d=d, N=n, g=0.1, seed=1)
@@ -466,5 +499,7 @@ class TestSokalIat:
             sokal_iat(np.ones(1))
         with pytest.raises(ValueError, match="1-D trace"):
             sokal_iat(np.ones((10, 2)))
-        with pytest.raises(ValueError, match="constant"):
-            sokal_iat(np.ones(10))
+        # constant traces, also ones whose mean does not round back to the value
+        for trace in (np.ones(10), np.full(50, 0.1), np.full(300, 7.7)):
+            with pytest.raises(ValueError, match="constant"):
+                sokal_iat(trace)
