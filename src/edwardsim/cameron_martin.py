@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fbm import FbmPath, GridCovariance
+from .fbm import FbmPath, GridCovariance, _covariance_for
 from .params import ModelParams, TimeGrid
 
 __all__ = [
@@ -138,19 +138,16 @@ def _as_columns(arr: np.ndarray, n: int, d: int, what: str) -> np.ndarray:
 
 
 def make_shift_from_target(
-    params: ModelParams,
-    grid: TimeGrid | None = None,
-    k=None,
-    *,
-    cov: GridCovariance | None = None,
+    params: ModelParams, k, *, cov: GridCovariance | None = None
 ) -> CMShift:
     """Shift from target samples: stores k and solves sigma @ w = k[1:].
 
     Valid for every H in (0, 1); this is the primary constructor. A 1-d k is
-    placed in the first component.
+    placed in the first component. The shift lives on cov's grid; `cov`
+    defaults to GridCovariance(params), and a given one must match params'
+    (H, N, T).
     """
-    if cov is None:
-        cov = GridCovariance(params, grid)
+    cov = _covariance_for(params, cov)
     grid = cov.grid
     k = _as_columns(k, grid.n, params.d, "k")
     if not np.all(np.abs(k[0]) <= 1e-12):
@@ -162,26 +159,22 @@ def make_shift_from_target(
 
 
 def make_shift_from_h(
-    params: ModelParams,
-    grid: TimeGrid | None = None,
-    h=None,
-    *,
-    cov: GridCovariance | None = None,
+    params: ModelParams, h, *, cov: GridCovariance | None = None
 ) -> CMShift:
     """Shift from an L^2 control h via k(t) = int_0^t R_H(t, s) h(s) ds.
 
     Requires H > 1/2 (kernel route). h is given by its grid samples and
     interpolated linearly inside the quadrature. Kept as a consistency
     check against the grid constructor; the integrable s^{1/2-H} endpoint
-    is handled by the adaptive integrator.
+    is handled by the adaptive integrator. `cov` is taken as in
+    make_shift_from_target.
     """
     import scipy.integrate
     if params.H <= 0.5:
         raise ValueError(
             "make_shift_from_h needs H > 1/2; use make_shift_from_target"
         )
-    if cov is None:
-        cov = GridCovariance(params, grid)
+    cov = _covariance_for(params, cov)
     grid = cov.grid
     h = _as_columns(h, grid.n, params.d, "h")
     pts = grid.points
@@ -199,36 +192,30 @@ def make_shift_from_h(
                 integrand, 0.0, t, limit=200, epsabs=1e-10, epsrel=1e-8
             )
             k[i, c] = val
-    shift = make_shift_from_target(params, grid, k, cov=cov)
+    shift = make_shift_from_target(params, k, cov=cov)
     return CMShift(grid=shift.grid, k=shift.k, w=shift.w, h=h)
 
 
 def builtin_shift(
-    name: str,
-    params: ModelParams,
-    grid: TimeGrid | None = None,
-    *,
-    cov: GridCovariance | None = None,
+    name: str, params: ModelParams, *, cov: GridCovariance | None = None
 ) -> CMShift:
     """Named shifts: "linear" (t in component 1), "sine" (sin(pi t / T) in
-    component 1), "covcol:j" (j-th covariance column, 1-based)."""
-    if cov is None:
-        cov = GridCovariance(params, grid)
+    component 1), "covcol:j" (j-th covariance column, 1-based). `cov` is
+    taken as in make_shift_from_target."""
+    cov = _covariance_for(params, cov)
     grid = cov.grid
     t = grid.points
     if name == "linear":
-        return make_shift_from_target(params, grid, t, cov=cov)
+        return make_shift_from_target(params, t, cov=cov)
     if name == "sine":
-        return make_shift_from_target(
-            params, grid, np.sin(np.pi * t / grid.horizon), cov=cov
-        )
+        return make_shift_from_target(params, np.sin(np.pi * t / grid.horizon), cov=cov)
     if name.startswith("covcol:"):
         j = int(name.split(":", 1)[1])
         if not 1 <= j <= grid.n - 1:
             raise ValueError(f"covcol index must lie in 1..{grid.n - 1}, got {j}")
         k = np.zeros(grid.n)
         k[1:] = cov.sigma[:, j - 1]
-        return make_shift_from_target(params, grid, k, cov=cov)
+        return make_shift_from_target(params, k, cov=cov)
     raise ValueError(f"unknown shift name {name!r}")
 
 

@@ -20,6 +20,7 @@ import platform
 import shutil
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,14 @@ from .cameron_martin import builtin_shift
 from .config import ConfigError, RunConfig, config_hash, dump_config, load_config
 from .edwards import edwards_ensemble
 from .fbm import FbmPath, GridCovariance, sample_fbm_batch
-from .mala import batch_means_stderr, load_checkpoint, run_mala, save_checkpoint, sokal_iat
+from .mala import (
+    BATCH_MEANS_MIN,
+    batch_means_stderr,
+    load_checkpoint,
+    run_mala,
+    save_checkpoint,
+    sokal_iat,
+)
 from .moments import continuity_scan, holder_verify
 from .params import ModelParams
 from .pathio import read_shift_csv, write_path_binary, write_path_csv
@@ -53,7 +61,7 @@ def _sha256(path: Path) -> str:
 def _resolve_shift(name: str, params: ModelParams, cov: GridCovariance):
     """Built-in shift name or a CSV file path."""
     if name in ("linear", "sine") or name.startswith("covcol:"):
-        return builtin_shift(name, params, cov.grid, cov=cov)
+        return builtin_shift(name, params, cov=cov)
     p = Path(name)
     if p.suffix == ".csv" or p.exists():
         return read_shift_csv(p, params, cov=cov)
@@ -77,7 +85,7 @@ def _cmd_sample_fbm(cfg: RunConfig, args, outdir: Path) -> list[Path]:
     params = cfg.model_params()
     cov = GridCovariance(params)
     n_paths = 1 if args.paths is None else args.paths
-    values = sample_fbm_batch(params, n_paths, cov=cov, threads=cfg.threads)
+    values = sample_fbm_batch(params, n_paths, cov=cov)
     written = []
     for i in range(n_paths):
         path = FbmPath(grid=cov.grid, values=values[i], cov=cov)
@@ -96,7 +104,7 @@ def _cmd_silt(cfg: RunConfig, args, outdir: Path) -> list[Path]:
     cov = GridCovariance(params)
     ladder = LadderConfig(eps0=cfg.eps0, levels=cfg.levels)
     eps = ladder.epsilons
-    values = sample_fbm_batch(params, cfg.paths, cov=cov, threads=cfg.threads)
+    values = sample_fbm_batch(params, cfg.paths, cov=cov)
     raw, expect, centered = centered_ladder(values, params, cov.grid, eps, threads=cfg.threads)
 
     m, k = raw.shape
@@ -183,7 +191,7 @@ def _cmd_density_scan(cfg: RunConfig, args, outdir: Path) -> list[Path]:
     params = cfg.model_params()
     cov = GridCovariance(params)
     shift = _resolve_shift(cfg.shift, params, cov)
-    values = sample_fbm_batch(params, cfg.paths, cov=cov, threads=cfg.threads)
+    values = sample_fbm_batch(params, cfg.paths, cov=cov)
     u_grid = np.linspace(0.0, cfg.u_max, cfg.n_u)
     scan = continuity_scan(
         shift,
@@ -254,6 +262,12 @@ def _iat(trace: np.ndarray) -> float | None:
     return None if np.all(trace == trace[0]) else sokal_iat(trace)
 
 
+def _stderr(trace: np.ndarray) -> float | None:
+    """Batch-means stderr of one chain trace; None for a trace shorter than
+    batch means take, as _iat gives None where there is no IAT."""
+    return None if trace.size < BATCH_MEANS_MIN else batch_means_stderr(trace)
+
+
 def _cmd_quantize_run(cfg: RunConfig, args, outdir: Path) -> list[Path]:
     params = cfg.model_params()
     cov = GridCovariance(params)
@@ -298,8 +312,8 @@ def _cmd_quantize_run(cfg: RunConfig, args, outdir: Path) -> list[Path]:
             "coord_iat": [_iat(c) for c in coord.T],
             "logpi_iat": _iat(logpi),
             "means": {
-                "lc": {"mean": float(lc.mean()), "stderr": batch_means_stderr(lc)},
-                "logpi": {"mean": float(logpi.mean()), "stderr": batch_means_stderr(logpi)},
+                "lc": {"mean": float(lc.mean()), "stderr": _stderr(lc)},
+                "logpi": {"mean": float(logpi.mean()), "stderr": _stderr(logpi)},
             },
         },
     )
@@ -317,30 +331,9 @@ _DISPATCH = {
     "quantize-run": _cmd_quantize_run,
 }
 
-# flag destination -> RunConfig attribute
-_OVERRIDES = [
-    ("hurst", "H"),
-    ("dim", "d"),
-    ("horizon", "T"),
-    ("coupling", "g"),
-    ("n", "N"),
-    ("seed", "seed"),
-    ("paths", "paths"),
-    ("threads", "threads"),
-    ("eps0", "eps0"),
-    ("levels", "levels"),
-    ("eps", None),  # routed per subcommand below
-    ("u_max", "u_max"),
-    ("n_u", "n_u"),
-    ("shift", "shift"),
-    ("step", "step"),
-    ("iterations", "iterations"),
-    ("burn_in", "burn_in"),
-    ("thin", "thin"),
-]
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    """Each flag that overrides the config stores under the name of its
+    RunConfig field, so _effective_config copies it by name."""
     top = argparse.ArgumentParser(
         prog="edwardsim",
         description="Fractional Brownian paths, self-intersection local time, "
@@ -351,14 +344,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", type=str, default=None, help="INI config file")
-        p.add_argument("--out", type=str, default=None, help="output directory")
+        p.add_argument("--out", dest="outdir", type=str, default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--n", type=int, default=None, help="grid points N")
-        p.add_argument("--hurst", type=float, default=None, help="Hurst index H")
-        p.add_argument("--dim", type=int, default=None, help="spatial dimension d")
-        p.add_argument("--horizon", type=float, default=None, help="time horizon T")
-        p.add_argument("--coupling", type=float, default=None, help="coupling g")
+        p.add_argument("--n", dest="N", type=int, default=None, help="grid points N")
+        p.add_argument("--hurst", dest="H", type=float, default=None, help="Hurst index H")
+        p.add_argument("--dim", dest="d", type=int, default=None, help="spatial dimension d")
+        p.add_argument("--horizon", dest="T", type=float, default=None, help="time horizon T")
+        p.add_argument("--coupling", dest="g", type=float, default=None, help="coupling g")
 
     p = sub.add_parser("sample-fbm", help="draw paths and write CSV + packed binary")
     common(p)
@@ -379,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--paths", type=int, default=None)
     p.add_argument("--shift", type=str, default=None)
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", dest="density_eps", type=float, default=None)
     p.add_argument("--u-max", dest="u_max", type=float, default=None)
     p.add_argument("--n-u", dest="n_u", type=int, default=None)
 
@@ -391,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantize-run", help="path-space MALA chain for the reweighted law")
     common(p)
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", dest="mala_eps", type=float, default=None)
     p.add_argument("--step", type=float, default=None)
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--burn-in", dest="burn_in", type=int, default=None)
@@ -403,15 +396,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _effective_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    for dest, attr in _OVERRIDES:
-        val = getattr(args, dest, None)
-        if val is None:
-            continue
-        if attr is None:  # --eps routes by subcommand
-            attr = "mala_eps" if args.cmd == "quantize-run" else "density_eps"
-        setattr(cfg, attr, val)
-    if getattr(args, "out", None):
-        cfg.outdir = args.out
+    for field in fields(RunConfig):
+        val = getattr(args, field.name, None)
+        if val is not None:
+            setattr(cfg, field.name, val)
     env = os.environ.get(OUTDIR_ENV)
     if env:
         cfg.outdir = env

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cameron_martin import CMShift
-from .fbm import GridCovariance, sample_fbm_batch
+from .fbm import GridCovariance, _covariance_for, sample_fbm_batch
 from .params import ModelParams, TimeGrid
 from .silt import LadderConfig, centered_ladder
 
@@ -113,12 +113,13 @@ def edwards_ensemble(
     threads: int = 1,
 ) -> WeightedEnsemble:
     """Sample M paths on index-derived streams and weight them by
-    exp(-g * lc) at the bottom of the eps ladder."""
+    exp(-g * lc) at the bottom of the eps ladder. `cov` defaults to
+    GridCovariance(params); a given one must match params' (H, N, T).
+    `threads` runs the SILT kernel's chunks in a pool."""
     if ladder is None:
         ladder = LadderConfig()
-    if cov is None:
-        cov = GridCovariance(params)
-    values = sample_fbm_batch(params, m, cov=cov, stream_offset=stream_offset, threads=threads)
+    cov = _covariance_for(params, cov)
+    values = sample_fbm_batch(params, m, cov=cov, stream_offset=stream_offset)
     eps = ladder.epsilons
     _, _, lc_ladder = centered_ladder(values, params, cov.grid, eps, threads=threads)
     lc = lc_ladder[:, -1]
@@ -297,12 +298,10 @@ def dirichlet_form(
     carries no gradient). The per-path summand is formed identically for
     (f, h) and (h, f), so the estimate is symmetric to the bit; for f = h
     it is a weighted mean of squares and therefore nonnegative. `cov`
-    defaults to the covariance on the ensemble's grid and must share it.
+    defaults to GridCovariance(ensemble.params); a given one must match the
+    ensemble's (H, N, T).
     """
-    if cov is None:
-        cov = GridCovariance(ensemble.params, ensemble.grid)
-    elif not np.array_equal(cov.grid.points, ensemble.grid.points):
-        raise ValueError("cov and ensemble live on different grids")
+    cov = _covariance_for(ensemble.params, cov)
 
     def cm_gradient(fcn: CylinderFunction) -> np.ndarray:  # (M, (N-1) d)
         a = np.tensordot(fcn.weights[:, 1:, :], cov.chol, axes=([1], [0]))

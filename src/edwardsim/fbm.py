@@ -13,12 +13,13 @@ factor are built on first use. Single paths and batches share one draw
 routine: one product with the factor, or one spectrum and one batched FFT,
 per chunk of paths. The factor and the solve use numpy's LAPACK alone, so
 this module loads no scipy module and no second OpenBLAS beside numpy's.
+Every entry point of the package that takes a `cov` checks, through
+_covariance_for, that it was built for the caller's (H, N, T).
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,6 +39,8 @@ _CIRCULANT_MIN_N = 3072
 # rounds a trailing partial block of 8 columns (and numpy a lone column)
 # differently, which would make a replica's bits depend on its chunk.
 _GEMM_COLUMNS = 8
+# Paths drawn per _draw call, which bounds its normals and FFT temporaries.
+_CHUNK_PATHS = 256
 # Rows per block of GridCovariance.solve's substitutions: each diagonal
 # block is one np.linalg.solve, each off-diagonal update one matmul. Beside a
 # busy 2-thread matmul on 2 cores, an N = 256 solve took 0.35 ms with 64-row
@@ -252,9 +255,25 @@ def _draw(
     return grid.spacing**params.H * np.cumsum(fgn, axis=-1).transpose(0, 2, 1)
 
 
+def _covariance_for(params: ModelParams, cov: GridCovariance | None) -> GridCovariance:
+    """The grid covariance an entry point draws or solves with:
+    GridCovariance(params) when cov is None, else cov, which must have
+    been built for the same (H, N, T). Its seed, d and g may differ, since
+    the covariance of one component does not depend on them."""
+    if cov is None:
+        return GridCovariance(params)
+    want = (params.H, params.N, params.T)
+    have = (cov.params.H, cov.params.N, cov.params.T)
+    if have != want:
+        raise ValueError(
+            f"covariance built for (H, N, T) = {have} does not fit params with "
+            f"(H, N, T) = {want}: it has another law or grid"
+        )
+    return cov
+
+
 def sample_fbm(
     params: ModelParams,
-    grid: TimeGrid | None = None,
     rng: np.random.Generator | None = None,
     *,
     cov: GridCovariance | None = None,
@@ -262,10 +281,10 @@ def sample_fbm(
     """Draw one path with d independent components, pinned to 0 at t_0.
 
     `rng` defaults to stream(params.seed, 0); the grid size picks the
-    sampling route (see the module notes).
+    sampling route (see the module notes). `cov` defaults to
+    GridCovariance(params); a given one must match params' (H, N, T).
     """
-    if cov is None:
-        cov = GridCovariance(params, grid)
+    cov = _covariance_for(params, cov)
     if rng is None:
         rng = stream(params.seed, 0)
     values = np.zeros((cov.grid.n, params.d))
@@ -279,41 +298,18 @@ def sample_fbm_batch(
     *,
     cov: GridCovariance | None = None,
     stream_offset: int = 0,
-    threads: int = 1,
 ) -> np.ndarray:
     """M paths as one (M, N, d) array.
 
     Replica i draws from stream(params.seed, stream_offset + i), so any
     subset of replicas reproduces bit-identically no matter how the batch is
-    chunked or threaded.
+    chunked. `cov` is checked as in sample_fbm.
     """
-    if cov is None:
-        cov = GridCovariance(params)
+    cov = _covariance_for(params, cov)
     chol = _sampling_factor(cov)
     out = np.zeros((m, cov.grid.n, params.d))
-
-    def fill(lo: int, hi: int) -> None:
+    for lo in range(0, m, _CHUNK_PATHS):
+        hi = min(lo + _CHUNK_PATHS, m)
         rngs = [stream(params.seed, stream_offset + i) for i in range(lo, hi)]
         out[lo:hi, 1:] = _draw(params, cov.grid, chol, rngs)
-
-    _map_chunks(_chunk_bounds(m), fill, threads)
     return out
-
-
-def _chunk_bounds(m: int, target: int = 256) -> list[tuple[int, int]]:
-    """Fixed chunking of m items, independent of the thread count."""
-    size = max(1, min(target, m))
-    return [(lo, min(lo + size, m)) for lo in range(0, m, size)]
-
-
-def _map_chunks(bounds: list[tuple[int, int]], fn, threads: int) -> None:
-    """Call fn(lo, hi) on every chunk, on a pool of `threads` workers when
-    there is more than one chunk. Each chunk writes its own rows, so the
-    result does not depend on the thread count."""
-    if threads <= 1 or len(bounds) <= 1:
-        for lo, hi in bounds:
-            fn(lo, hi)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for future in [pool.submit(fn, lo, hi) for lo, hi in bounds]:
-            future.result()

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbm import GridCovariance
+from .fbm import GridCovariance, _covariance_for
 from .params import ModelParams, TimeGrid
 from .rng import stream
 from .silt import _node_weights, silt_expectation_grid
@@ -58,6 +58,8 @@ ACCEPT_WARN_LOW = 0.1
 ACCEPT_WARN_HIGH = 0.9
 # burn-in iterations per step-size update
 ADAPT_EVERY = 100
+# fewest trace samples batch_means_stderr takes
+BATCH_MEANS_MIN = 4
 
 
 class _Target:
@@ -212,12 +214,12 @@ def run_mala(
     (multiplicative updates on block acceptance), then freezes so the chain
     after burn-in is a genuine MALA chain. `resume` continues a saved chain;
     its step overrides the argument and burn-in is skipped. A run that
-    would record no sample raises ValueError.
+    would record no sample raises ValueError. `cov` defaults to
+    GridCovariance(params); a given one must match params' (H, N, T).
     """
     if n_iter <= 0 or burn_in < 0 or thin <= 0:
         raise ValueError("n_iter must be positive, burn_in nonnegative, thin positive")
-    if cov is None:
-        cov = GridCovariance(params)
+    cov = _covariance_for(params, cov)
     grid = cov.grid
     target = _Target(params, cov, eps)
 
@@ -311,7 +313,7 @@ def batch_means_stderr(trace: np.ndarray) -> float:
     n = trace.size
     if trace.ndim != 1:
         raise ValueError(f"batch means need a 1-D trace, got shape {trace.shape}")
-    if n < 4:
+    if n < BATCH_MEANS_MIN:
         raise ValueError("trace too short for batch means")
     b = max(2, int(np.sqrt(n)))
     nb = n // b

@@ -22,12 +22,12 @@ scipy.special, when called; the CLI calls neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cameron_martin import _LOG_OVERFLOW, CMShift
-from .fbm import GridCovariance, sample_fbm_batch
+from .fbm import GridCovariance, _covariance_for, sample_fbm_batch
 from .params import ModelParams, TimeGrid
 from .rng import stream
 from .silt import silt_raw_shifted
@@ -230,27 +230,21 @@ def l2_difference_silt(
     m: int,
     *,
     cov: GridCovariance | None = None,
-    seed: int | None = None,
-    values: np.ndarray | None = None,
     threads: int = 1,
 ) -> tuple[float, float]:
-    """Monte Carlo estimate of E[(L_eps,c(u k) - L_eps,c(v k))^2].
+    """Monte Carlo estimate of E[(L_eps,c(u k) - L_eps,c(v k))^2] over m
+    paths drawn with sample_fbm_batch(params, m, cov=cov).
 
     Common random numbers: both shift magnitudes are applied to the same
     base paths, so u = v gives exactly zero and the estimate is symmetric
     in (u, v) to the bit. The centering terms cancel in the difference.
     Returns (estimate, stderr); needs at least 2 paths for the stderr.
     """
-    m = m if values is None else values.shape[0]
     if m < 2:
         raise ValueError(
             f"l2_difference_silt needs at least 2 paths for a standard error, got m={m}"
         )
-    if values is None:
-        if cov is None:
-            cov = GridCovariance(params)
-        p = params if seed is None else replace(params, seed=seed)
-        values = sample_fbm_batch(p, m, cov=cov, threads=threads)
+    values = sample_fbm_batch(params, m, cov=cov)
     raw = silt_raw_shifted(values, shift.grid, shift.k, [u, v], [eps], threads=threads)[:, :, 0]
     dsq = (raw[:, 0] - raw[:, 1]) ** 2
     return float(np.mean(dsq)), float(np.std(dsq, ddof=1) / np.sqrt(m))
@@ -321,22 +315,20 @@ def holder_verify(
     m: int,
     *,
     cov: GridCovariance | None = None,
-    seed: int | None = None,
     threads: int = 1,
 ) -> HolderReport:
     """Estimate E[(L_eps,c(delta k) - L_eps,c(0))^2] on a delta schedule for
-    each eps and fit the log-log slope, sharing one base ensemble across
-    every cell (common random numbers)."""
+    each eps and fit the log-log slope, sharing one base ensemble of m
+    paths, drawn with sample_fbm_batch(params, m, cov=cov), across every
+    cell (common random numbers)."""
     epsilons = np.atleast_1d(np.asarray(epsilons, dtype=float))
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     if np.any(deltas <= 0.0):
         raise ValueError("delta schedule must be positive")
     if m < 2:
         raise ValueError(f"holder_verify needs at least 2 paths for a standard error, got m={m}")
-    if cov is None:
-        cov = GridCovariance(params)
-    p = params if seed is None else replace(params, seed=seed)
-    values = sample_fbm_batch(p, m, cov=cov, threads=threads)
+    cov = _covariance_for(params, cov)
+    values = sample_fbm_batch(params, m, cov=cov)
     raw = silt_raw_shifted(values, cov.grid, shift.k, [0.0, *deltas], epsilons, threads=threads)
     # row 0 of the family is the base; est[k, p] is at eps k and delta p
     dsq = (raw[:, 1:] - raw[:, :1]) ** 2

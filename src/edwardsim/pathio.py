@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .cameron_martin import CMShift, make_shift_from_target
-from .fbm import FbmPath, GridCovariance
+from .fbm import FbmPath, GridCovariance, _covariance_for
 from .params import ModelParams, TimeGrid
 
 __all__ = [
@@ -80,9 +80,9 @@ def write_shift_csv(dest, shift: CMShift) -> None:
 
 def read_shift_csv(src, params: ModelParams, *, cov: GridCovariance | None = None) -> CMShift:
     """Shift from CSV; the time column must match the model grid exactly
-    (the representer solve reuses the cached covariance factor)."""
-    if cov is None:
-        cov = GridCovariance(params)
+    (the representer solve reuses the cached covariance factor). `cov` is
+    taken as in make_shift_from_target."""
+    cov = _covariance_for(params, cov)
     table = np.loadtxt(src, delimiter=",", skiprows=1, ndmin=2)
     if table.shape[1] != params.d + 1:
         raise ValueError(
@@ -92,7 +92,7 @@ def read_shift_csv(src, params: ModelParams, *, cov: GridCovariance | None = Non
         np.abs(table[:, 0] - cov.grid.points)
     ) > 1e-12 * cov.grid.horizon:
         raise ValueError("shift file time column does not match the model grid")
-    return make_shift_from_target(params, cov.grid, np.ascontiguousarray(table[:, 1:]), cov=cov)
+    return make_shift_from_target(params, np.ascontiguousarray(table[:, 1:]), cov=cov)
 
 
 def read_path_binary(src, params: ModelParams) -> FbmPath:

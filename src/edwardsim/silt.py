@@ -37,17 +37,21 @@ values as eps -> 0. At H*d = 1 the limit exists in L^2 but the rate carries
 no proven constant, so the ladder reports successive-difference ratios and
 flags non-convergence instead of asserting a rate. Only the quadrature
 silt_expectation imports scipy (scipy.integrate), when it is called.
+
+The kernel takes its paths in fixed chunks and, given `threads` > 1, runs
+the chunks on a thread pool, the package's only one; every result is the
+same at any thread count.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fbm import _chunk_bounds, _map_chunks
 from .params import ModelParams, TimeGrid
 
 __all__ = [
@@ -66,6 +70,8 @@ __all__ = [
     "silt_limit",
 ]
 
+# paths per kernel chunk, the unit of the thread pool
+_CHUNK_PATHS = 256
 # pair elements per lag block (paths x rows x N); a worker holds two block
 # buffers for an unshifted call, four (2 MB) for a shifted one. 16384 to
 # 131072 time alike for both at N = 256, d = 2, 256 paths (x86-64, 2 cores)
@@ -176,8 +182,22 @@ def _raw_family(
     def work(lo: int, hi: int) -> None:
         out[lo:hi] = _lag_block_sums(values[lo:hi], k, moved, us, rates, squares) * factor
 
-    _map_chunks(_chunk_bounds(m), work, threads)
+    _map_chunks(m, work, threads)
     return out
+
+
+def _map_chunks(m: int, fn, threads: int) -> None:
+    """Call fn(lo, hi) on the fixed chunks of _CHUNK_PATHS of m paths, on a
+    pool of `threads` workers when there is more than one chunk. Each chunk
+    writes its own rows, so the result does not depend on the thread count."""
+    bounds = [(lo, min(lo + _CHUNK_PATHS, m)) for lo in range(0, m, _CHUNK_PATHS)]
+    if threads <= 1 or len(bounds) <= 1:
+        for lo, hi in bounds:
+            fn(lo, hi)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for future in [pool.submit(fn, lo, hi) for lo, hi in bounds]:
+            future.result()
 
 
 def _lag_block_sums(

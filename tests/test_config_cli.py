@@ -352,6 +352,28 @@ class TestCliMala:
         assert summary["coord_iat"] == [None, None]
         assert summary["logpi_iat"] is None
 
+    def test_short_chain_writes_null_stderrs_and_a_manifest(self, outdir):
+        # three samples are too few for batch means
+        out = outdir / "run"
+        argv = [
+            "quantize-run", "--n", "32", "--iterations", "3", "--burn-in", "0",
+            "--thin", "1", "--out", str(out),
+        ]
+        assert _run(argv) == 0
+        sub = out / "quantize-run"
+        summary = json.loads((sub / "mala_summary.json").read_text())
+        assert summary["samples"] == 3
+        assert summary["means"]["lc"]["stderr"] is None
+        assert summary["means"]["logpi"]["stderr"] is None
+        manifest = json.loads((sub / "manifest.json").read_text())
+        assert set(manifest["outputs"]) == {
+            "mala_trace.csv",
+            "mala_checkpoint.npz",
+            "mala_summary.json",
+            "config.ini",
+            "config_effective.ini",
+        }
+
     def test_resume_accepts_a_burn_in_longer_than_the_run(self, outdir):
         # a resume skips burn-in, so --burn-in only matters on a fresh run
         out1 = outdir / "leg1"

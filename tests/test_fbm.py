@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,11 +7,22 @@ import pytest
 from edwardsim import (
     GridCovariance,
     ModelParams,
+    builtin_shift,
     cov_h,
+    dirichlet_form,
+    edwards_ensemble,
+    holder_verify,
+    l2_difference_silt,
     make_grid,
+    make_shift_from_h,
+    make_shift_from_target,
+    random_cylinder,
+    read_shift_csv,
+    run_mala,
     sample_fbm,
     sample_fbm_batch,
     stream,
+    write_shift_csv,
 )
 from edwardsim.fbm import _CIRCULANT_MIN_N, _cholesky_with_jitter, build_covariance
 
@@ -239,14 +251,6 @@ class TestSampleBatch:
                     one = sample_fbm(p, cov=cov, rng=stream(p.seed, i))
                     assert np.array_equal(batch[i], one.values), (d, min_n, i)
 
-    def test_thread_count_invariance(self):
-        # chunk boundaries are fixed, so the thread count cannot change bits
-        p = ModelParams(N=17, d=2, seed=3)
-        cov = GridCovariance(p)
-        a = sample_fbm_batch(p, 600, cov=cov, threads=1)
-        b = sample_fbm_batch(p, 600, cov=cov, threads=3)
-        assert np.array_equal(a, b)
-
     def test_davies_harte_batch(self, monkeypatch):
         monkeypatch.setattr(CIRCULANT_MIN_N, 2)
         p = ModelParams(H=0.3, N=33, d=1, seed=11)
@@ -336,3 +340,55 @@ class TestSamplerStatistics:
                 prod = x[:, i, 0] * x[:, j, 0]
                 se = prod.std(ddof=1) / np.sqrt(self.M)
                 assert abs(prod.mean() - cov_h(H, t[i], t[j])) <= 5.0 * se
+
+
+def _shift_file(p, tmp_path):
+    dest = tmp_path / "shift.csv"
+    write_shift_csv(dest, builtin_shift("linear", p))
+    return dest
+
+
+def _dirichlet(p, cov):
+    ens = edwards_ensemble(p, 4)
+    f = random_cylinder(stream(1, 0), ens.grid, p.d)
+    return dirichlet_form(f, f, ens, cov=cov)
+
+
+# every entry point that takes a `cov`, called with the model p
+COV_ENTRY_POINTS = {
+    "sample_fbm": lambda p, cov, tmp: sample_fbm(p, cov=cov),
+    "sample_fbm_batch": lambda p, cov, tmp: sample_fbm_batch(p, 2, cov=cov),
+    "make_shift_from_target": lambda p, cov, tmp: make_shift_from_target(
+        p, k=np.zeros(p.N), cov=cov
+    ),
+    "make_shift_from_h": lambda p, cov, tmp: make_shift_from_h(p, h=np.ones(p.N), cov=cov),
+    "builtin_shift": lambda p, cov, tmp: builtin_shift("linear", p, cov=cov),
+    "l2_difference_silt": lambda p, cov, tmp: l2_difference_silt(
+        p, builtin_shift("linear", p), 0.1, 0.5, 0.0, 2, cov=cov
+    ),
+    "holder_verify": lambda p, cov, tmp: holder_verify(
+        p, builtin_shift("linear", p), [0.1], [0.1, 0.2], 2, cov=cov
+    ),
+    "edwards_ensemble": lambda p, cov, tmp: edwards_ensemble(p, 2, cov=cov),
+    "run_mala": lambda p, cov, tmp: run_mala(p, eps=0.1, n_iter=1, burn_in=0, thin=1, cov=cov),
+    "read_shift_csv": lambda p, cov, tmp: read_shift_csv(_shift_file(p, tmp), p, cov=cov),
+    "dirichlet_form": lambda p, cov, tmp: _dirichlet(p, cov),
+}
+
+
+@pytest.mark.parametrize("change", [{"H": 0.6}, {"N": 12}, {"T": 2.0}], ids=["H", "N", "T"])
+@pytest.mark.parametrize("entry", COV_ENTRY_POINTS)
+def test_cov_of_another_model_is_rejected(entry, change, tmp_path):
+    # H > 1/2 so that make_shift_from_h gets as far as its covariance
+    p = ModelParams(H=0.7, d=1, N=16)
+    other = GridCovariance(replace(p, **change))
+    with pytest.raises(ValueError, match=r"built for \(H, N, T\) = .* params with \(H, N, T\) = "):
+        COV_ENTRY_POINTS[entry](p, other, tmp_path)
+
+
+def test_cov_may_differ_in_seed_d_and_g():
+    p = ModelParams(H=0.7, d=1, N=16, g=0.1, seed=0)
+    q = replace(p, d=3, g=-2.0, seed=5)
+    cov = GridCovariance(p)
+    assert np.array_equal(sample_fbm_batch(q, 3, cov=cov), sample_fbm_batch(q, 3))
+

@@ -21,7 +21,7 @@ from edwardsim.pathio import BINARY_MAGIC, BINARY_VERSION
 
 @pytest.fixture()
 def path64(small_params, small_cov):
-    return sample_fbm(small_params, small_cov.grid, stream(5, 0), cov=small_cov)
+    return sample_fbm(small_params, stream(5, 0), cov=small_cov)
 
 
 class TestCsv:
@@ -110,7 +110,7 @@ class TestBinary:
 
 class TestShiftCsv:
     def test_round_trip_is_exact(self, tmp_path, small_params, small_cov):
-        shift = builtin_shift("sine", small_params, small_cov.grid, cov=small_cov)
+        shift = builtin_shift("sine", small_params, cov=small_cov)
         dest = tmp_path / "shift.csv"
         write_shift_csv(dest, shift)
         back = read_shift_csv(dest, small_params, cov=small_cov)
@@ -119,13 +119,13 @@ class TestShiftCsv:
         assert back.energy == shift.energy
 
     def test_header_row(self, tmp_path, small_params, small_cov):
-        shift = builtin_shift("linear", small_params, small_cov.grid, cov=small_cov)
+        shift = builtin_shift("linear", small_params, cov=small_cov)
         dest = tmp_path / "shift.csv"
         write_shift_csv(dest, shift)
         assert dest.read_text().splitlines()[0] == "t,k_1,k_2"
 
     def test_grid_mismatch(self, tmp_path, small_params, small_cov):
-        shift = builtin_shift("linear", small_params, small_cov.grid, cov=small_cov)
+        shift = builtin_shift("linear", small_params, cov=small_cov)
         dest = tmp_path / "shift.csv"
         write_shift_csv(dest, shift)
         other = ModelParams(H=0.5, d=2, N=32, seed=0)
@@ -133,7 +133,7 @@ class TestShiftCsv:
             read_shift_csv(dest, other)
 
     def test_perturbed_time_column(self, tmp_path, small_params, small_cov):
-        shift = builtin_shift("linear", small_params, small_cov.grid, cov=small_cov)
+        shift = builtin_shift("linear", small_params, cov=small_cov)
         table = np.column_stack([small_cov.grid.points + 1e-6, shift.k])
         dest = tmp_path / "shift.csv"
         np.savetxt(dest, table, fmt="%.17g", delimiter=",", header="t,k_1,k_2", comments="")

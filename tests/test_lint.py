@@ -80,6 +80,32 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
     )
 
 
+def imports_package(source: str, package: str) -> bool:
+    """Whether the source imports `package` or any of its submodules."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == package for name in names):
+            return True
+    return False
+
+
+def public_functions_taking(source: str, *params: str) -> list[str]:
+    """Public functions and methods that have every one of `params`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+            args = node.args
+            names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            if set(params) <= names:
+                found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
 def test_finds_an_unused_import():
     source = "import os\nfrom dataclasses import dataclass, field\n\n@dataclass\nclass A:\n    x: int = os.sep\n"
     assert unused_imports(source) == ["field (line 2)"]
@@ -98,6 +124,28 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_unused_imports_in_scripts(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_finds_package_imports():
+    assert imports_package("from concurrent.futures import ThreadPoolExecutor\n", "concurrent")
+    assert imports_package("import concurrent.futures as cf\n", "concurrent")
+    assert not imports_package("from .concurrent import x\nimport threading\n", "concurrent")
+
+
+def test_only_silt_imports_a_thread_pool():
+    # the SILT kernel's chunk pool is the package's only thread pool
+    importers = [p.name for p in SOURCES if imports_package(p.read_text(), "concurrent")]
+    assert importers == ["silt.py"]
+
+
+def test_finds_a_function_taking_grid_and_cov():
+    source = "def a(grid, *, cov=None):\n    pass\n\ndef _b(grid, cov):\n    pass\n\ndef c(cov):\n    pass\n"
+    assert public_functions_taking(source, "grid", "cov") == ["a (line 1)"]
+
+
+def test_no_public_function_takes_grid_and_cov():
+    # a grid beside a covariance would be a second, unchecked source of the grid
+    assert [f for p in SOURCES for f in public_functions_taking(p.read_text(), "grid", "cov")] == []
 
 
 def test_finds_an_unread_private_name():

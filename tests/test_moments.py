@@ -155,12 +155,11 @@ class TestL2Difference:
 
     def test_symmetric_in_uv(self, small_params, small_cov):
         sh = builtin_shift("linear", small_params, cov=small_cov)
-        vals = sample_fbm_batch(small_params, 64, cov=small_cov)
         a, _ = l2_difference_silt(
-            small_params, sh, 0.05, 0.1, 0.5, 64, values=vals
+            small_params, sh, 0.05, 0.1, 0.5, 64, cov=small_cov
         )
         b, _ = l2_difference_silt(
-            small_params, sh, 0.05, 0.5, 0.1, 64, values=vals
+            small_params, sh, 0.05, 0.5, 0.1, 64, cov=small_cov
         )
         assert a == b
         assert a > 0.0
@@ -172,22 +171,20 @@ class TestL2Difference:
         t = small_cov.grid.points
         sh = make_shift_from_target(small_params, k=t, cov=small_cov)
         sh2 = make_shift_from_target(small_params, k=2.0 * t, cov=small_cov)
-        vals = sample_fbm_batch(small_params, 64, cov=small_cov)
         a, sa = l2_difference_silt(
-            small_params, sh, 0.05, 0.6, 0.0, 64, values=vals
+            small_params, sh, 0.05, 0.6, 0.0, 64, cov=small_cov
         )
         b, sb = l2_difference_silt(
-            small_params, sh2, 0.05, 0.3, 0.0, 64, values=vals
+            small_params, sh2, 0.05, 0.3, 0.0, 64, cov=small_cov
         )
         assert a == b and sa == sb
 
-    def test_seed_override_is_replaced_params(self, small_params, small_cov):
+    def test_seed_comes_from_params(self, small_params, small_cov):
+        # a covariance built at one seed serves params of another
         sh = builtin_shift("linear", small_params, cov=small_cov)
-        a = l2_difference_silt(small_params, sh, 0.05, 0.4, 0.0, 32, cov=small_cov, seed=9)
-        b = l2_difference_silt(
-            replace(small_params, seed=9), sh, 0.05, 0.4, 0.0, 32, cov=small_cov
-        )
-        assert a == b
+        seed9 = replace(small_params, seed=9)
+        a = l2_difference_silt(seed9, sh, 0.05, 0.4, 0.0, 32, cov=small_cov)
+        assert a == l2_difference_silt(seed9, sh, 0.05, 0.4, 0.0, 32)
         assert a != l2_difference_silt(small_params, sh, 0.05, 0.4, 0.0, 32, cov=small_cov)
 
     def test_rejects_single_sampled_path(self, small_params, small_cov):
@@ -196,20 +193,15 @@ class TestL2Difference:
         with pytest.raises(ValueError, match="at least 2 paths"):
             l2_difference_silt(small_params, sh, 0.05, 0.4, 0.0, 1, cov=small_cov)
 
-    def test_rejects_single_given_path(self, small_params, small_cov):
-        # m is read from `values`, whatever the m argument says
-        sh = builtin_shift("linear", small_params, cov=small_cov)
-        vals = sample_fbm_batch(small_params, 1, cov=small_cov)
-        with pytest.raises(ValueError, match="at least 2 paths"):
-            l2_difference_silt(small_params, sh, 0.05, 0.4, 0.0, 64, values=vals)
-
 
 class TestHolderVerify:
-    def test_seed_override_is_replaced_params(self, small_params, small_cov):
+    def test_seed_comes_from_params(self, small_params, small_cov):
+        # a covariance built at one seed serves params of another
         sh = builtin_shift("sine", small_params, cov=small_cov)
         args = ([0.1, 0.05], [0.1, 0.2, 0.4], 32)
-        a = holder_verify(small_params, sh, *args, cov=small_cov, seed=9)
-        b = holder_verify(replace(small_params, seed=9), sh, *args, cov=small_cov)
+        seed9 = replace(small_params, seed=9)
+        a = holder_verify(seed9, sh, *args, cov=small_cov)
+        b = holder_verify(seed9, sh, *args)
         for key in ("estimates", "stderrs", "slopes", "intercepts", "slope_stderrs"):
             assert np.array_equal(getattr(a, key), getattr(b, key))
         assert not np.array_equal(
@@ -219,13 +211,12 @@ class TestHolderVerify:
     def test_report_structure(self, small_params, small_cov):
         sh = builtin_shift("sine", small_params, cov=small_cov)
         rep = holder_verify(
-            small_params,
+            replace(small_params, seed=7),
             sh,
             [0.1, 0.05],
             [0.1, 0.2, 0.4],
             64,
             cov=small_cov,
-            seed=7,
         )
         assert rep.estimates.shape == (2, 3)
         assert rep.stderrs.shape == (2, 3)
@@ -244,13 +235,12 @@ class TestHolderVerify:
     ):
         sh = builtin_shift("sine", small_params, cov=small_cov)
         rep = holder_verify(
-            small_params,
+            replace(small_params, seed=3),
             sh,
             [0.05, 0.025],
             [0.1, 0.2, 0.4],
             256,
             cov=small_cov,
-            seed=3,
         )
         assert rep.slope > 1.0
 

@@ -52,15 +52,14 @@ EPS = st.floats(1e-3, 1.0)
     circulant=st.booleans(),
     m=st.integers(1, 600),
     bounds=st.tuples(st.integers(0, 600), st.integers(0, 600)),
-    threads=st.tuples(st.sampled_from([1, 2]), st.sampled_from([1, 2])),
 )
-def test_sub_batch_equals_rows_of_larger_batch(p, circulant, m, bounds, threads):
+def test_sub_batch_equals_rows_of_larger_batch(p, circulant, m, bounds):
     lo, hi = sorted(b % (m + 1) for b in bounds)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("edwardsim.fbm._CIRCULANT_MIN_N", 2 if circulant else p.N + 1)
         cov = GridCovariance(p)
-        full = sample_fbm_batch(p, m, cov=cov, threads=threads[0])
-        part = sample_fbm_batch(p, hi - lo, cov=cov, stream_offset=lo, threads=threads[1])
+        full = sample_fbm_batch(p, m, cov=cov)
+        part = sample_fbm_batch(p, hi - lo, cov=cov, stream_offset=lo)
     assert np.array_equal(full[lo:hi], part)
 
 
