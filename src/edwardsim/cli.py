@@ -5,6 +5,10 @@ outputs under <outdir>/<subcommand>/, copies the config next to them, and
 finishes with manifest.json carrying a sha256 for every output file, so a
 run can be diffed or reproduced by checksum alone.
 
+Each subcommand is one _COMMANDS entry: its help, its handler and the
+RunConfig fields it takes flags for beside _COMMON. A flag is --<INI key>
+with "-" for "_" (--burn-in sets [mala] burn_in), except the _ALIASES.
+
 Exit codes: 0 success, 1 config error, 2 numeric failure. The output
 directory resolves, in order: EDWARDSIM_OUTDIR environment variable, --out
 flag, config outdir.
@@ -20,14 +24,14 @@ import platform
 import shutil
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .cameron_martin import builtin_shift
-from .config import ConfigError, RunConfig, config_hash, dump_config, load_config
+from .config import _KEYS, _PARSERS, ConfigError, RunConfig, _read_file, config_hash, dump_config
 from .edwards import edwards_ensemble
 from .fbm import FbmPath, GridCovariance, sample_fbm_batch
 from .mala import (
@@ -81,13 +85,10 @@ def _json_dump(path: Path, payload: dict) -> None:
 # ------------------------------------------------------------- subcommands #
 
 
-def _cmd_sample_fbm(cfg: RunConfig, args, outdir: Path) -> list[Path]:
-    params = cfg.model_params()
-    cov = GridCovariance(params)
-    n_paths = 1 if args.paths is None else args.paths
-    values = sample_fbm_batch(params, n_paths, cov=cov)
+def _cmd_sample_fbm(cfg, args, params, cov, outdir) -> list[Path]:
+    values = sample_fbm_batch(params, cfg.paths, cov=cov)
     written = []
-    for i in range(n_paths):
+    for i in range(cfg.paths):
         path = FbmPath(grid=cov.grid, values=values[i], cov=cov)
         csv = outdir / f"path_{i:05d}.csv"
         bin_ = outdir / f"path_{i:05d}.fbmp"
@@ -97,11 +98,9 @@ def _cmd_sample_fbm(cfg: RunConfig, args, outdir: Path) -> list[Path]:
     return written
 
 
-def _cmd_silt(cfg: RunConfig, args, outdir: Path) -> list[Path]:
+def _cmd_silt(cfg, args, params, cov, outdir) -> list[Path]:
     if cfg.paths < 2:
         raise ValueError(f"silt needs at least 2 paths for a standard error, got {cfg.paths}")
-    params = cfg.model_params()
-    cov = GridCovariance(params)
     ladder = LadderConfig(eps0=cfg.eps0, levels=cfg.levels)
     eps = ladder.epsilons
     values = sample_fbm_batch(params, cfg.paths, cov=cov)
@@ -141,9 +140,7 @@ def _cmd_silt(cfg: RunConfig, args, outdir: Path) -> list[Path]:
     return [table, stable]
 
 
-def _cmd_holder_check(cfg: RunConfig, args, outdir: Path) -> list[Path]:
-    params = cfg.model_params()
-    cov = GridCovariance(params)
+def _cmd_holder_check(cfg, args, params, cov, outdir) -> list[Path]:
     shift = _resolve_shift(cfg.shift, params, cov)
     deltas = np.geomspace(cfg.delta_min, cfg.delta_max, cfg.n_deltas)
     report = holder_verify(
@@ -187,9 +184,7 @@ def _cmd_holder_check(cfg: RunConfig, args, outdir: Path) -> list[Path]:
     return [ptable, rtable]
 
 
-def _cmd_density_scan(cfg: RunConfig, args, outdir: Path) -> list[Path]:
-    params = cfg.model_params()
-    cov = GridCovariance(params)
+def _cmd_density_scan(cfg, args, params, cov, outdir) -> list[Path]:
     shift = _resolve_shift(cfg.shift, params, cov)
     values = sample_fbm_batch(params, cfg.paths, cov=cov)
     u_grid = np.linspace(0.0, cfg.u_max, cfg.n_u)
@@ -223,9 +218,7 @@ def _cmd_density_scan(cfg: RunConfig, args, outdir: Path) -> list[Path]:
     return [table, summary]
 
 
-def _cmd_edwards_estimate(cfg: RunConfig, args, outdir: Path) -> list[Path]:
-    params = cfg.model_params()
-    cov = GridCovariance(params)
+def _cmd_edwards_estimate(cfg, args, params, cov, outdir) -> list[Path]:
     ladder = LadderConfig(eps0=cfg.eps0, levels=cfg.levels)
     ens = edwards_ensemble(params, cfg.paths, ladder, cov=cov, threads=cfg.threads)
 
@@ -256,22 +249,25 @@ def _cmd_edwards_estimate(cfg: RunConfig, args, outdir: Path) -> list[Path]:
     return [wtable, summary]
 
 
+def _short(trace: np.ndarray) -> bool:
+    """A trace shorter than batch means take has neither a standard error
+    nor an autocorrelation time."""
+    return trace.size < BATCH_MEANS_MIN
+
+
 def _iat(trace: np.ndarray) -> float | None:
-    """Sokal IAT of one chain trace; None for a trace that no accepted step
-    moved, which has no autocorrelation time."""
-    return None if np.all(trace == trace[0]) else sokal_iat(trace)
+    """Sokal IAT of one chain trace; None for a short trace and for one that
+    no accepted step moved."""
+    return None if _short(trace) or np.all(trace == trace[0]) else sokal_iat(trace)
 
 
 def _stderr(trace: np.ndarray) -> float | None:
-    """Batch-means stderr of one chain trace; None for a trace shorter than
-    batch means take, as _iat gives None where there is no IAT."""
-    return None if trace.size < BATCH_MEANS_MIN else batch_means_stderr(trace)
+    """Batch-means stderr of one chain trace; None for a short trace."""
+    return None if _short(trace) else batch_means_stderr(trace)
 
 
-def _cmd_quantize_run(cfg: RunConfig, args, outdir: Path) -> list[Path]:
-    params = cfg.model_params()
-    cov = GridCovariance(params)
-    resume = load_checkpoint(args.resume) if getattr(args, "resume", None) else None
+def _cmd_quantize_run(cfg, args, params, cov, outdir) -> list[Path]:
+    resume = load_checkpoint(args.resume) if args.resume else None
     result = run_mala(
         params,
         eps=cfg.mala_eps,
@@ -307,7 +303,7 @@ def _cmd_quantize_run(cfg: RunConfig, args, outdir: Path) -> list[Path]:
             "samples": int(n),
             "acceptance": result.acceptance_rate,
             "step": result.step,
-            "resumed_from": str(args.resume) if getattr(args, "resume", None) else None,
+            "resumed_from": str(args.resume) if args.resume else None,
             "lc_iat": _iat(lc),
             "coord_iat": [_iat(c) for c in coord.T],
             "logpi_iat": _iat(logpi),
@@ -322,14 +318,40 @@ def _cmd_quantize_run(cfg: RunConfig, args, outdir: Path) -> list[Path]:
 
 # ------------------------------------------------------------------ driver #
 
-_DISPATCH = {
-    "sample-fbm": _cmd_sample_fbm,
-    "silt": _cmd_silt,
-    "holder-check": _cmd_holder_check,
-    "density-scan": _cmd_density_scan,
-    "edwards-estimate": _cmd_edwards_estimate,
-    "quantize-run": _cmd_quantize_run,
+class _Command(NamedTuple):
+    help: str
+    run: Callable  # (cfg, args, params, cov, outdir) -> output files
+    flags: tuple[str, ...]  # RunConfig fields it takes flags for, beside _COMMON
+    defaults: dict = {}  # RunConfig defaults of its own, under the file and flags
+
+
+_COMMON = ("outdir", "seed", "threads", "N", "H", "d", "T", "g")
+_ALIASES = {"H": "--hurst", "d": "--dim", "T": "--horizon", "g": "--coupling", "outdir": "--out"}
+_COMMANDS = {
+    "sample-fbm": _Command(
+        "draw paths and write CSV + packed binary", _cmd_sample_fbm, ("paths",), {"paths": 1}
+    ),
+    "silt": _Command(
+        "per-path eps-ladder table of the local time", _cmd_silt, ("paths", "eps0", "levels")
+    ),
+    "holder-check": _Command(
+        "L2 modulus of the centered local time", _cmd_holder_check, ("paths", "shift")
+    ),
+    "density-scan": _Command(
+        "density process on a shift-magnitude grid",
+        _cmd_density_scan,
+        ("paths", "shift", "density_eps", "u_max", "n_u"),
+    ),
+    "edwards-estimate": _Command(
+        "reweighted ensemble estimates", _cmd_edwards_estimate, ("paths", "eps0", "levels")
+    ),
+    "quantize-run": _Command(
+        "path-space MALA chain for the reweighted law",
+        _cmd_quantize_run,
+        ("mala_eps", "step", "iterations", "burn_in", "thin"),
+    ),
 }
+
 
 def _build_parser() -> argparse.ArgumentParser:
     """Each flag that overrides the config stores under the name of its
@@ -341,65 +363,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = top.add_subparsers(dest="cmd", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", type=str, default=None, help="INI config file")
-        p.add_argument("--out", dest="outdir", type=str, default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--n", dest="N", type=int, default=None, help="grid points N")
-        p.add_argument("--hurst", dest="H", type=float, default=None, help="Hurst index H")
-        p.add_argument("--dim", dest="d", type=int, default=None, help="spatial dimension d")
-        p.add_argument("--horizon", dest="T", type=float, default=None, help="time horizon T")
-        p.add_argument("--coupling", dest="g", type=float, default=None, help="coupling g")
-
-    p = sub.add_parser("sample-fbm", help="draw paths and write CSV + packed binary")
-    common(p)
-    p.add_argument("--paths", type=int, default=None, help="paths to write (default 1)")
-
-    p = sub.add_parser("silt", help="per-path eps-ladder table of the local time")
-    common(p)
-    p.add_argument("--paths", type=int, default=None)
-    p.add_argument("--eps0", type=float, default=None)
-    p.add_argument("--levels", type=int, default=None)
-
-    p = sub.add_parser("holder-check", help="L2 modulus of the centered local time")
-    common(p)
-    p.add_argument("--paths", type=int, default=None)
-    p.add_argument("--shift", type=str, default=None)
-
-    p = sub.add_parser("density-scan", help="density process on a shift-magnitude grid")
-    common(p)
-    p.add_argument("--paths", type=int, default=None)
-    p.add_argument("--shift", type=str, default=None)
-    p.add_argument("--eps", dest="density_eps", type=float, default=None)
-    p.add_argument("--u-max", dest="u_max", type=float, default=None)
-    p.add_argument("--n-u", dest="n_u", type=int, default=None)
-
-    p = sub.add_parser("edwards-estimate", help="reweighted ensemble estimates")
-    common(p)
-    p.add_argument("--paths", type=int, default=None)
-    p.add_argument("--eps0", type=float, default=None)
-    p.add_argument("--levels", type=int, default=None)
-
-    p = sub.add_parser("quantize-run", help="path-space MALA chain for the reweighted law")
-    common(p)
-    p.add_argument("--eps", dest="mala_eps", type=float, default=None)
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=None)
-    p.add_argument("--thin", type=int, default=None)
-    p.add_argument("--resume", type=str, default=None, help="checkpoint to continue")
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="INI config file")
+        defaults = RunConfig(**command.defaults)
+        for field in _COMMON + command.flags:
+            section, key = _KEYS[field]
+            flag = _ALIASES.get(field, "--" + key.replace("_", "-"))
+            text = f"[{section}] {key} (default {getattr(defaults, field)})"
+            p.add_argument(flag, dest=field, type=_PARSERS[field], help=text)
+        if name == "quantize-run":
+            p.add_argument("--resume", help="checkpoint to continue")
     return top
 
 
 def _effective_config(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    for field in fields(RunConfig):
-        val = getattr(args, field.name, None)
-        if val is not None:
-            setattr(cfg, field.name, val)
+    """The command's defaults, then the config file, then flags, then
+    EDWARDSIM_OUTDIR, validated once."""
+    command = _COMMANDS[args.cmd]
+    cfg = RunConfig(**command.defaults)
+    if args.config:
+        cfg = _read_file(args.config, cfg)
+    for field in _COMMON + command.flags:
+        if getattr(args, field) is not None:
+            setattr(cfg, field, getattr(args, field))
     env = os.environ.get(OUTDIR_ENV)
     if env:
         cfg.outdir = env
@@ -464,9 +451,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
+        params = cfg.model_params()
+        cov = GridCovariance(params)
         outdir = _prepare_outdir(cfg, args, args.cmd)
         t0 = time.perf_counter()
-        outputs = _DISPATCH[args.cmd](cfg, args, outdir)
+        outputs = _COMMANDS[args.cmd].run(cfg, args, params, cov, outdir)
         _write_manifest(outdir, args.cmd, cfg, outputs, time.perf_counter() - t0)
     except ConfigError as exc:
         print(f"edwardsim: {args.cmd}: config error: {exc}", file=sys.stderr)

@@ -1,13 +1,14 @@
 """Run configuration: INI files with strict key checking.
 
-A config file holds the sections [model], [run], [silt], [holder],
-[density], and [mala]. Every key is optional (defaults below), but unknown
-sections or keys are rejected by name rather than silently ignored, since a
-typo like "pahts = 4096" would otherwise change the run semantics without
-a trace.
+RunConfig is the one list of options. Each field sits in one of the
+sections [model], [run], [silt], [holder], [density] and [mala] (_SECTIONS).
+Its key is the field name in lower case without the section prefix, so
+`mala_eps` is `[mala] eps`, and its value parses with the field's type (a
+comma- or space-separated float list for a tuple). Every key is optional
+(defaults below), but unknown sections or keys are rejected by name rather
+than silently ignored, since a typo like "pahts = 4096" would otherwise
+change the run semantics without a trace.
 """
-
-from __future__ import annotations
 
 import configparser
 import hashlib
@@ -26,31 +27,25 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
-    # [model]
     H: float = 0.5
     d: int = 2
     T: float = 1.0
     g: float = 0.1
     N: int = 256
-    # [run]
     seed: int = 0
     paths: int = 1024
     threads: int = 1
     outdir: str = "runs"
-    # [silt]
     eps0: float = 0.1
     levels: int = 5
-    # [holder]
     holder_epsilons: tuple = (0.05, 0.02)
     delta_min: float = 0.05
     delta_max: float = 0.8
     n_deltas: int = 6
-    # [density]
     density_eps: float = 0.02
     u_max: float = 1.0
     n_u: int = 21
     shift: str = "linear"
-    # [mala]
     mala_eps: float = 0.02
     step: float = 0.4
     burn_in: int = 2000
@@ -64,7 +59,8 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def validate(self) -> None:
-        self.model_params()
+        """Reject out-of-range values; warn off the critical line H*d = 1."""
+        params = self.model_params()
         if self.paths < 1:
             raise ConfigError(f"paths must be positive, got {self.paths}")
         if self.threads < 1:
@@ -87,6 +83,13 @@ class RunConfig:
             raise ConfigError(f"step must be positive, got {self.step}")
         if self.iterations < 1 or self.burn_in < 0 or self.thin < 1:
             raise ConfigError("mala iteration counts out of range")
+        if not params.critical:
+            warnings.warn(
+                f"H*d = {self.H * self.d:.6g} is off the critical line H*d = 1; "
+                "the reweighting theory here is calibrated at the critical point",
+                RuntimeWarning,
+                stacklevel=2,
+            )
 
 
 def _float_list(text: str) -> tuple:
@@ -99,107 +102,86 @@ def _float_list(text: str) -> tuple:
     return vals
 
 
-# section -> {ini key: (attribute, parser)}
-_SCHEMA = {
-    "model": {
-        "h": ("H", float),
-        "d": ("d", int),
-        "t": ("T", float),
-        "g": ("g", float),
-        "n": ("N", int),
-    },
-    "run": {
-        "seed": ("seed", int),
-        "paths": ("paths", int),
-        "threads": ("threads", int),
-        "outdir": ("outdir", str),
-    },
-    "silt": {
-        "eps0": ("eps0", float),
-        "levels": ("levels", int),
-    },
-    "holder": {
-        "epsilons": ("holder_epsilons", _float_list),
-        "delta_min": ("delta_min", float),
-        "delta_max": ("delta_max", float),
-        "n_deltas": ("n_deltas", int),
-    },
-    "density": {
-        "eps": ("density_eps", float),
-        "u_max": ("u_max", float),
-        "n_u": ("n_u", int),
-        "shift": ("shift", str),
-    },
-    "mala": {
-        "eps": ("mala_eps", float),
-        "step": ("step", float),
-        "burn_in": ("burn_in", int),
-        "iterations": ("iterations", int),
-        "thin": ("thin", int),
-    },
+# INI section -> its RunConfig fields, in file order
+_SECTIONS = {
+    "model": ("H", "d", "T", "g", "N"),
+    "run": ("seed", "paths", "threads", "outdir"),
+    "silt": ("eps0", "levels"),
+    "holder": ("holder_epsilons", "delta_min", "delta_max", "n_deltas"),
+    "density": ("density_eps", "u_max", "n_u", "shift"),
+    "mala": ("mala_eps", "step", "burn_in", "iterations", "thin"),
 }
+# RunConfig field -> (section, key)
+_KEYS = {
+    name: (section, name.lower().removeprefix(f"{section}_"))
+    for section, names in _SECTIONS.items()
+    for name in names
+}
+# RunConfig field -> parser of its INI value or flag
+_PARSERS = {f.name: _float_list if f.type is tuple else f.type for f in fields(RunConfig)}
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse INI text into a RunConfig, rejecting unknown names."""
+def _read_ini(text: str, cfg: RunConfig) -> RunConfig:
+    """Set the fields INI text names on cfg, rejecting unknown names; the
+    values are not validated."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from exc
-    cfg = RunConfig()
     for section in cp.sections():
-        if section not in _SCHEMA:
-            known = ", ".join(sorted(_SCHEMA))
+        if section not in _SECTIONS:
+            known = ", ".join(sorted(_SECTIONS))
             raise ConfigError(f"unknown section [{section}]; known sections: {known}")
-        keys = _SCHEMA[section]
+        names = {_KEYS[name][1]: name for name in _SECTIONS[section]}
         for key, value in cp.items(section):
-            if key not in keys:
-                known = ", ".join(sorted(keys))
+            if key not in names:
+                known = ", ".join(sorted(names))
                 raise ConfigError(
                     f"unknown key {key!r} in section [{section}]; known keys: {known}"
                 )
-            attr, parse = keys[key]
             try:
-                setattr(cfg, attr, parse(value))
-            except ConfigError:
-                raise
+                setattr(cfg, names[key], _PARSERS[names[key]](value))
             except ValueError as exc:
                 raise ConfigError(f"bad value for {section}.{key}: {value!r}") from exc
-    cfg.validate()
-    if not cfg.model_params().critical:
-        warnings.warn(
-            f"H*d = {cfg.H * cfg.d:.6g} is off the critical line H*d = 1; "
-            "the reweighting theory here is calibrated at the critical point",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return cfg
 
 
-def load_config(path) -> RunConfig:
+def _read_file(path, cfg: RunConfig) -> RunConfig:
+    """_read_ini on the text of a file."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
+    return _read_ini(text, cfg)
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse INI text into a validated RunConfig, rejecting unknown names."""
+    cfg = _read_ini(text, RunConfig())
+    cfg.validate()
+    return cfg
+
+
+def load_config(path) -> RunConfig:
+    cfg = _read_file(path, RunConfig())
+    cfg.validate()
+    return cfg
 
 
 def dump_config(cfg: RunConfig) -> str:
     """Canonical INI text (fixed section and key order; round-trips through
     parse_config)."""
-    by_attr = {attr: (sec, key) for sec, keys in _SCHEMA.items() for key, (attr, _) in keys.items()}
     out = io.StringIO()
-    for section, keys in _SCHEMA.items():
+    for section, names in _SECTIONS.items():
         out.write(f"[{section}]\n")
-        for key, (attr, _) in keys.items():
-            val = getattr(cfg, attr)
+        for name in names:
+            val = getattr(cfg, name)
             if isinstance(val, tuple):
                 val = ", ".join(repr(v) for v in val)
-            out.write(f"{key} = {val}\n")
+            out.write(f"{_KEYS[name][1]} = {val}\n")
         out.write("\n")
-    assert set(by_attr) == {f.name for f in fields(cfg)}
     return out.getvalue()
 
 

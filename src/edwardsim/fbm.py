@@ -116,18 +116,17 @@ def _failing_minor(a: np.ndarray) -> int:
 
 
 class GridCovariance:
-    """Grid covariance of one fBm component and its Cholesky factor.
+    """Grid covariance of one fBm component and its Cholesky factor, on
+    make_grid(params): params alone fixes the grid.
 
     Shared across the d components and across paths; also provides the
     linear solves used by Cameron-Martin weights and the path sampler.
     `sigma`, `chol` and `jittered` are built on first access and cached.
     """
 
-    def __init__(self, params: ModelParams, grid: TimeGrid | None = None):
+    def __init__(self, params: ModelParams):
         self.params = params
-        self.grid = make_grid(params) if grid is None else grid
-        if self.grid.n != params.N:
-            raise ValueError("grid size does not match params.N")
+        self.grid = make_grid(params)
 
     @cached_property
     def sigma(self) -> np.ndarray:

@@ -43,8 +43,9 @@ def _columns(path: FbmPath) -> tuple[np.ndarray, list[str]]:
 
 def _rebuild(params: ModelParams, grid: TimeGrid, values: np.ndarray) -> FbmPath:
     # The file fixes N and T; H, d, g, seed come from the caller's model.
-    p = replace(params, N=grid.n, T=grid.horizon)
-    return FbmPath(grid=grid, values=values, cov=GridCovariance(p, grid))
+    # The path keeps the file's grid, the covariance builds its own.
+    cov = GridCovariance(replace(params, N=grid.n, T=grid.horizon))
+    return FbmPath(grid=grid, values=values, cov=cov)
 
 
 def write_path_csv(dest, path: FbmPath) -> None:

@@ -1,8 +1,13 @@
+import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import platform
+import sys
 import warnings
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +22,8 @@ from edwardsim import (
     parse_config,
     sokal_iat,
 )
-from edwardsim.cli import main
+from edwardsim.cli import _COMMANDS, _build_parser, _effective_config, main
+from edwardsim.config import _SECTIONS
 
 
 class TestParse:
@@ -227,6 +233,22 @@ class TestCliSampleFbm:
         assert eff.N == 16 and eff.seed == 3 and eff.outdir == str(out)
 
 
+    @pytest.mark.parametrize(
+        "ini, flags, count",
+        [("", [], 1), ("[run]\npaths = 3\n", [], 3), ("[run]\npaths = 3\n", ["--paths", "2"], 2)],
+        ids=["default", "file", "flag"],
+    )
+    def test_path_count_and_its_record(self, outdir, ini, flags, count):
+        # the flag if given, else the file's key, else 1; the record says what was written
+        cfg = outdir / "run.ini"
+        cfg.write_text("[model]\nn = 16\n" + ini)
+        out = outdir / "run"
+        assert _run(["sample-fbm", "--config", str(cfg), *flags, "--out", str(out)]) == 0
+        sub = out / "sample-fbm"
+        assert len(list(sub.glob("path_*.csv"))) == count
+        assert parse_config((sub / "config_effective.ini").read_text()).paths == count
+
+
 class TestCliAnalyses:
     def test_silt_tables(self, outdir):
         out = outdir / "run"
@@ -353,7 +375,7 @@ class TestCliMala:
         assert summary["logpi_iat"] is None
 
     def test_short_chain_writes_null_stderrs_and_a_manifest(self, outdir):
-        # three samples are too few for batch means
+        # three samples are too few for batch means, and for an IAT
         out = outdir / "run"
         argv = [
             "quantize-run", "--n", "32", "--iterations", "3", "--burn-in", "0",
@@ -365,6 +387,9 @@ class TestCliMala:
         assert summary["samples"] == 3
         assert summary["means"]["lc"]["stderr"] is None
         assert summary["means"]["logpi"]["stderr"] is None
+        assert summary["lc_iat"] is None
+        assert summary["coord_iat"] == [None, None]
+        assert summary["logpi_iat"] is None
         manifest = json.loads((sub / "manifest.json").read_text())
         assert set(manifest["outputs"]) == {
             "mala_trace.csv",
@@ -373,6 +398,19 @@ class TestCliMala:
             "config.ini",
             "config_effective.ini",
         }
+
+    def test_four_samples_write_numbers(self, outdir):
+        out = outdir / "run"
+        argv = [
+            "quantize-run", "--n", "32", "--iterations", "4", "--burn-in", "0",
+            "--thin", "1", "--out", str(out),
+        ]
+        assert _run(argv) == 0
+        summary = json.loads((out / "quantize-run" / "mala_summary.json").read_text())
+        assert summary["samples"] == 4
+        stats = [summary["lc_iat"], *summary["coord_iat"], summary["logpi_iat"]]
+        stats += [summary["means"][k]["stderr"] for k in ("lc", "logpi")]
+        assert all(isinstance(x, float) for x in stats)
 
     def test_resume_accepts_a_burn_in_longer_than_the_run(self, outdir):
         # a resume skips burn-in, so --burn-in only matters on a fresh run
@@ -484,3 +522,99 @@ class TestCliFailures:
             "--shift", "mystery", "--out", str(outdir / "x"),
         ]
         assert _run(argv) == 1
+
+
+class TestCliOffCritical:
+    @pytest.mark.parametrize(
+        "ini, flags, count",
+        [
+            ("", ["--hurst", "0.7"], 1),
+            ("", ["--dim", "3"], 1),
+            ("[model]\nh = 0.7\n", [], 1),
+            ("[model]\nh = 0.7\n", ["--hurst", "0.5"], 0),
+            ("[model]\nh = 0.25\nd = 4\n", [], 0),
+        ],
+        ids=["flag-h", "flag-d", "file-h", "file-undone-by-flag", "critical"],
+    )
+    def test_warns_once_off_the_critical_line(self, outdir, ini, flags, count):
+        cfg = outdir / "run.ini"
+        cfg.write_text(ini)
+        argv = ["sample-fbm", "--config", str(cfg), "--n", "16", *flags, "--out", str(outdir / "x")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        assert sum("critical line" in str(w.message) for w in caught) == count
+
+
+COMMON_OPTIONS = {
+    "-h", "--help", "--config", "--out", "--seed", "--threads",
+    "--n", "--hurst", "--dim", "--horizon", "--coupling",
+}
+# every subcommand's option strings; perfbench/workloads.py passes a subset
+OPTIONS = {
+    "sample-fbm": COMMON_OPTIONS | {"--paths"},
+    "silt": COMMON_OPTIONS | {"--paths", "--eps0", "--levels"},
+    "holder-check": COMMON_OPTIONS | {"--paths", "--shift"},
+    "density-scan": COMMON_OPTIONS | {"--paths", "--shift", "--eps", "--u-max", "--n-u"},
+    "edwards-estimate": COMMON_OPTIONS | {"--paths", "--eps0", "--levels"},
+    "quantize-run": COMMON_OPTIONS
+    | {"--eps", "--step", "--iterations", "--burn-in", "--thin", "--resume"},
+}
+# a valid value other than the default for every RunConfig field
+NON_DEFAULT = {
+    "H": 0.25, "d": 4, "T": 2.0, "g": 0.3, "N": 128,
+    "seed": 11, "paths": 5000, "threads": 2, "outdir": "elsewhere",
+    "eps0": 0.2, "levels": 6,
+    "holder_epsilons": (0.1, 0.05, 0.025), "delta_min": 0.01, "delta_max": 0.5, "n_deltas": 4,
+    "density_eps": 0.03, "u_max": 2.0, "n_u": 11, "shift": "sine",
+    "mala_eps": 0.04, "step": 0.25, "burn_in": 100, "iterations": 1000, "thin": 5,
+}
+
+
+def _subparsers() -> dict:
+    parser = _build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestCliContract:
+    def test_option_strings(self):
+        assert {name: set(p._option_string_actions) for name, p in _subparsers().items()} == OPTIONS
+
+    def test_perfbench_flags_are_options(self, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        argvs = [op.argv(0, Path("x")) for w in workloads.WORKLOADS.values() for op in w.ops]
+        argvs += [[*probe, "--seed", "0"] for w in workloads.WORKLOADS.values() for probe in w.probe]
+        for cmd, *rest in argvs:
+            assert {a for a in rest if a.startswith("--")} <= OPTIONS[cmd], cmd
+
+    def test_every_field_has_one_section(self):
+        listed = [name for names in _SECTIONS.values() for name in names]
+        assert sorted(listed) == sorted(f.name for f in fields(RunConfig))
+
+    def test_every_field_round_trips_through_the_file(self):
+        assert set(NON_DEFAULT) == {f.name for f in fields(RunConfig)}
+        for name, value in NON_DEFAULT.items():
+            cfg = replace(RunConfig(), **{name: value})
+            assert getattr(cfg, name) != getattr(RunConfig(), name), name
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert parse_config(dump_config(cfg)) == cfg, name
+
+    def test_every_flag_round_trips(self, monkeypatch):
+        monkeypatch.delenv("EDWARDSIM_OUTDIR", raising=False)
+        parser = _build_parser()
+        for cmd, sub in _subparsers().items():
+            base = RunConfig(**_COMMANDS[cmd].defaults)
+            for action in sub._actions:
+                if action.dest not in NON_DEFAULT:
+                    continue
+                value = NON_DEFAULT[action.dest]
+                args = parser.parse_args([cmd, action.option_strings[0], str(value)])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    cfg = _effective_config(args)
+                assert cfg == replace(base, **{action.dest: value}), (cmd, action.dest)

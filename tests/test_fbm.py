@@ -156,10 +156,12 @@ class TestGridCovariance:
         assert not cov.jittered and cov.chol.shape == (31, 31)
         assert calls == [(31, 31)]
 
-    def test_grid_size_mismatch(self):
-        p = ModelParams(N=16)
-        with pytest.raises(ValueError, match="grid size"):
-            GridCovariance(p, make_grid(ModelParams(N=8)))
+    def test_grid_comes_from_params(self):
+        # params is the covariance's only input: a second grid is refused
+        p = ModelParams(N=16, T=2.0)
+        assert GridCovariance(p).grid.same_as(make_grid(p))
+        with pytest.raises(TypeError):
+            GridCovariance(p, make_grid(ModelParams(N=16)))
 
     def test_jitter_retry_on_singular(self):
         # rank-2 PSD matrix: plain factorization fails, the single jitter

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,6 +48,15 @@ class TestCsv:
         assert back.grid.n == 64
         assert back.cov.params.N == 64
         assert back.cov.params.H == desk_params.H
+
+    def test_file_fixes_horizon(self, tmp_path, small_params):
+        # a horizon-2 file read under T = 1: path and covariance both span [0, 2]
+        path = sample_fbm(replace(small_params, T=2.0), stream(5, 0))
+        dest = tmp_path / "path.csv"
+        write_path_csv(dest, path)
+        back = read_path_csv(dest, small_params)
+        assert back.cov.params.T == 2.0 and back.cov.grid.horizon == 2.0
+        assert np.array_equal(back.grid.points, path.grid.points)
 
     def test_dimension_mismatch(self, tmp_path, path64):
         dest = tmp_path / "path.csv"

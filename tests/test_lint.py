@@ -95,10 +95,13 @@ def imports_package(source: str, package: str) -> bool:
 
 
 def public_functions_taking(source: str, *params: str) -> list[str]:
-    """Public functions and methods that have every one of `params`."""
+    """Public functions and methods, constructors included, that have every
+    one of `params`."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name == "__init__" or not node.name.startswith("_"):
             args = node.args
             names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
             if set(params) <= names:
@@ -141,11 +144,19 @@ def test_only_silt_imports_a_thread_pool():
 def test_finds_a_function_taking_grid_and_cov():
     source = "def a(grid, *, cov=None):\n    pass\n\ndef _b(grid, cov):\n    pass\n\ndef c(cov):\n    pass\n"
     assert public_functions_taking(source, "grid", "cov") == ["a (line 1)"]
+    source = "class A:\n    def __init__(self, params, grid=None):\n        pass\n"
+    assert public_functions_taking(source, "params", "grid") == ["__init__ (line 2)"]
 
 
 def test_no_public_function_takes_grid_and_cov():
     # a grid beside a covariance would be a second, unchecked source of the grid
     assert [f for p in SOURCES for f in public_functions_taking(p.read_text(), "grid", "cov")] == []
+
+
+def test_no_constructor_takes_params_and_grid():
+    # params fixes the grid; a constructor taking both would hold two grids
+    found = [f for p in SOURCES for f in public_functions_taking(p.read_text(), "params", "grid")]
+    assert [f for f in found if f.startswith("__init__")] == []
 
 
 def test_finds_an_unread_private_name():
