@@ -39,7 +39,8 @@ z = (lc.mean() - ref) / np.hypot(batch_means_stderr(lc), ref_se)
 print(f"importance reference {ref:+.4f} (se {ref_se:.4f}), z = {z:+.2f}")
 
 # interrupting and resuming reproduces the uninterrupted chain exactly:
-# the checkpoint carries the path, the step, and the generator state
+# the checkpoint carries the path, the step, the iteration and the seed,
+# and every step draws from a stream keyed by (seed, step)
 with tempfile.TemporaryDirectory() as tmp:
     ck = Path(tmp) / "chain.npz"
     with warnings.catch_warnings():

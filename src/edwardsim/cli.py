@@ -36,6 +36,7 @@ from .edwards import edwards_ensemble
 from .fbm import FbmPath, GridCovariance, sample_fbm_batch
 from .mala import (
     BATCH_MEANS_MIN,
+    IAT_MIN,
     batch_means_stderr,
     load_checkpoint,
     run_mala,
@@ -249,21 +250,15 @@ def _cmd_edwards_estimate(cfg, args, params, cov, outdir) -> list[Path]:
     return [wtable, summary]
 
 
-def _short(trace: np.ndarray) -> bool:
-    """A trace shorter than batch means take has neither a standard error
-    nor an autocorrelation time."""
-    return trace.size < BATCH_MEANS_MIN
-
-
 def _iat(trace: np.ndarray) -> float | None:
-    """Sokal IAT of one chain trace; None for a short trace and for one that
-    no accepted step moved."""
-    return None if _short(trace) or np.all(trace == trace[0]) else sokal_iat(trace)
+    """Sokal IAT of one chain trace; None for one shorter than IAT_MIN and
+    for one that no accepted step moved."""
+    return None if trace.size < IAT_MIN or np.all(trace == trace[0]) else sokal_iat(trace)
 
 
 def _stderr(trace: np.ndarray) -> float | None:
-    """Batch-means stderr of one chain trace; None for a short trace."""
-    return None if _short(trace) else batch_means_stderr(trace)
+    """Batch-means stderr of one chain trace; None below BATCH_MEANS_MIN samples."""
+    return None if trace.size < BATCH_MEANS_MIN else batch_means_stderr(trace)
 
 
 def _cmd_quantize_run(cfg, args, params, cov, outdir) -> list[Path]:

@@ -20,13 +20,14 @@ _covariance_for, that it was built for the caller's (H, N, T).
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .params import ModelParams, TimeGrid, make_grid
-from .rng import stream
+from .rng import Keys, stream
 
 __all__ = ["cov_h", "build_covariance", "GridCovariance", "FbmPath", "sample_fbm", "sample_fbm_batch"]
 
@@ -214,21 +215,23 @@ def _draw(
     params: ModelParams,
     grid: TimeGrid,
     chol: np.ndarray | None,
-    rngs: list[np.random.Generator],
+    rngs: Iterable[np.random.Generator],
 ) -> np.ndarray:
     """Values (P, N-1, d) at t_1..t_{N-1}, one path per generator in `rngs`.
 
-    Each path draws its normals from its own generator, and one product
-    with `chol` (or, when it is None, one circulant FFT) serves the whole
-    list, so a path gets the same bits whatever list it is drawn in.
+    Each path draws its normals from its own generator, taken in turn, so
+    the generators may be one object re-keyed between paths. One product
+    with `chol` (or, when it is None, one circulant FFT) serves them all,
+    so a path gets the same bits whatever batch it is drawn in.
     """
-    n, d, p = grid.n - 1, params.d, len(rngs)
+    n, d = grid.n - 1, params.d
     if chol is not None:
         # column j*d + c holds component c of path j
-        z = np.stack([r.standard_normal((n, d)) for r in rngs], axis=1).reshape(n, p * d)
-        if pad := -(p * d) % _GEMM_COLUMNS:
+        z = np.concatenate([r.standard_normal((n, d)) for r in rngs], axis=1)
+        cols = z.shape[1]
+        if pad := -cols % _GEMM_COLUMNS:
             z = np.pad(z, ((0, 0), (0, pad)))
-        return (chol @ z)[:, : p * d].reshape(n, p, d).transpose(1, 0, 2)
+        return (chol @ z)[:, :cols].reshape(n, -1, d).transpose(1, 0, 2)
     # Circulant embedding of unit-spacing fractional Gaussian noise, scaled
     # by spacing^H (exact by self-similarity on a uniform grid). The
     # spectrum is clipped at zero where it undershoots by rounding only; a
@@ -245,7 +248,7 @@ def _draw(
     lam = np.clip(lam, 0.0, None)
     m = 2 * n
     z = np.stack([r.standard_normal((d, m)) for r in rngs])
-    a = np.empty((p, d, m), dtype=complex)
+    a = np.empty(z.shape, dtype=complex)
     a[..., 0] = np.sqrt(lam[0] / m) * z[..., 0]
     a[..., n] = np.sqrt(lam[n] / m) * z[..., n]
     a[..., 1:n] = np.sqrt(lam[1:n] / (2.0 * m)) * (z[..., 1:n] + 1j * z[..., n + 1 :])
@@ -306,9 +309,10 @@ def sample_fbm_batch(
     """
     cov = _covariance_for(params, cov)
     chol = _sampling_factor(cov)
+    keys = Keys(params.seed)
     out = np.zeros((m, cov.grid.n, params.d))
     for lo in range(0, m, _CHUNK_PATHS):
         hi = min(lo + _CHUNK_PATHS, m)
-        rngs = [stream(params.seed, stream_offset + i) for i in range(lo, hi)]
+        rngs = (keys.at(stream_offset + i) for i in range(lo, hi))
         out[lo:hi, 1:] = _draw(params, cov.grid, chol, rngs)
     return out

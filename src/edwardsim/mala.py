@@ -11,7 +11,9 @@ That is the Sigma-preconditioned Langevin chain in x, so the g = 0 chain is
 an exact AR(1). The accept ratio takes plain Euclidean residuals, s xi
 forward and z - z' - (s^2 / 2) grad log pi(z') back, so no iteration solves
 against Sigma, and at g = 0 the path is formed only at recorded samples.
-Checkpoints carry z, from which a resume continues bit-identically.
+Checkpoints carry z, the step size, the iteration and the seed. Every step
+draws from its own stream keyed by (seed, step), so the chain has no
+generator state to save and an interrupted run concatenates bit-identically.
 
 L_eps and its gradient come from one dense Gram form on the path centered
 over its nodes, K_ij = exp(-(|x_i|^2 + |x_j|^2 - 2 x_i . x_j) / (2 eps))
@@ -31,7 +33,6 @@ it to an entry that is already symmetric, so K is bit-symmetric.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -39,7 +40,7 @@ import numpy as np
 
 from .fbm import GridCovariance, _covariance_for
 from .params import ModelParams, TimeGrid
-from .rng import stream
+from .rng import Keys
 from .silt import _node_weights, silt_expectation_grid
 
 __all__ = [
@@ -60,6 +61,9 @@ ACCEPT_WARN_HIGH = 0.9
 ADAPT_EVERY = 100
 # fewest trace samples batch_means_stderr takes
 BATCH_MEANS_MIN = 4
+# fewest trace samples sokal_iat takes: shorter chains gave estimates below
+# the floor of 1 (down to -0.28) up to 24 samples, none from 32 on
+IAT_MIN = 32
 
 
 class _Target:
@@ -170,13 +174,13 @@ def _propose(target: _Target, cur: _State, s: float, xi: np.ndarray) -> tuple[_S
 
 @dataclass(eq=False)
 class ChainState:
-    """Resumable chain snapshot: position, step size, iteration, rng."""
+    """Resumable chain snapshot: position, step size, iteration, seed."""
 
     xr: np.ndarray  # free path coordinates x[1:] = L z
     z: np.ndarray  # whitened position, from which a resume continues
     step: float
-    iteration: int
-    rng_state: dict
+    iteration: int  # steps taken; the next step draws from stream t = iteration
+    seed: int  # the key word of every stream, reduced mod 2^64
 
 
 @dataclass(eq=False)
@@ -212,9 +216,9 @@ def run_mala(
 
     Step size adapts toward the optimal acceptance rate during burn-in only
     (multiplicative updates on block acceptance), then freezes so the chain
-    after burn-in is a genuine MALA chain. `resume` continues a saved chain;
-    its step overrides the argument and burn-in is skipped. A run that
-    would record no sample raises ValueError. `cov` defaults to
+    after burn-in is a genuine MALA chain. `resume` continues a saved chain
+    of params.seed; its step overrides the argument and burn-in is skipped.
+    A run that would record no sample raises ValueError. `cov` defaults to
     GridCovariance(params); a given one must match params' (H, N, T).
     """
     if n_iter <= 0 or burn_in < 0 or thin <= 0:
@@ -223,9 +227,11 @@ def run_mala(
     grid = cov.grid
     target = _Target(params, cov, eps)
 
+    keys = Keys(params.seed)
     if resume is not None:
-        rng = np.random.Generator(np.random.Philox())
-        rng.bit_generator.state = resume.rng_state
+        if resume.seed != keys.seed:
+            raise ValueError(f"checkpoint was written under seed {resume.seed}, this chain "
+                             f"has seed {keys.seed}: its steps would draw other streams")
         z0 = np.array(resume.z, dtype=float)
         if z0.shape != (grid.n - 1, params.d):
             raise ValueError(f"checkpoint state has shape {z0.shape}, this chain needs "
@@ -234,8 +240,7 @@ def run_mala(
         it0 = int(resume.iteration)
         burn_in = 0
     else:
-        rng = stream(params.seed, MALA_STREAM_INDEX)
-        z0 = rng.standard_normal((grid.n - 1, params.d))
+        z0 = keys.at(MALA_STREAM_INDEX).standard_normal((grid.n - 1, params.d))
         s = float(step)
         it0 = 0
 
@@ -255,6 +260,7 @@ def run_mala(
     block_acc = 0
 
     for it in range(n_iter):
+        rng = keys.at(MALA_STREAM_INDEX + 1 + it0 + it)
         xi = rng.standard_normal(z0.shape)
         prop, log_alpha = _propose(target, cur, s, xi)
         if np.log(rng.random()) < log_alpha:
@@ -290,7 +296,7 @@ def run_mala(
         z=cur.z.copy(),
         step=s,
         iteration=it0 + n_iter,
-        rng_state=rng.bit_generator.state,
+        seed=keys.seed,
     )
     return MalaResult(
         params=params,
@@ -326,8 +332,9 @@ def sokal_iat(trace: np.ndarray, c: float = 5.0) -> float:
     tau(M) = 1 + 2 sum_{1 <= t <= M} rho_t at the first M >= c tau(M)."""
     x = np.asarray(trace, dtype=float)
     n = x.size
-    if x.ndim != 1 or n < 2:
-        raise ValueError("need a 1-D trace of at least 2 samples for an autocorrelation time")
+    if x.ndim != 1 or n < IAT_MIN:
+        raise ValueError(f"need a 1-D trace of at least IAT_MIN = {IAT_MIN} samples for an "
+                         f"autocorrelation time, got shape {x.shape}")
     # tested before centering: x - x.mean() of a constant trace need not be zero
     if np.all(x == x[0]):
         raise ValueError("constant trace has no autocorrelation time")
@@ -341,49 +348,30 @@ def sokal_iat(trace: np.ndarray, c: float = 5.0) -> float:
 
 
 def save_checkpoint(path, state: ChainState) -> None:
-    """Binary checkpoint: arrays via savez, rng state via a JSON sidecar
-    field (Philox counters are uint64 arrays; json gets them as lists)."""
-    rs = state.rng_state
-    inner = rs["state"]
-    payload = {
-        "bit_generator": rs["bit_generator"],
-        "counter": np.asarray(inner["counter"], dtype=np.uint64).tolist(),
-        "key": np.asarray(inner["key"], dtype=np.uint64).tolist(),
-        "buffer": np.asarray(rs["buffer"], dtype=np.uint64).tolist(),
-        "buffer_pos": int(rs["buffer_pos"]),
-        "has_uint32": int(rs["has_uint32"]),
-        "uinteger": int(rs["uinteger"]),
-    }
+    """Checkpoint as plain npz arrays: xr, z, step, iteration, seed."""
     np.savez(
         path,
         xr=state.xr,
         z=state.z,
         step=np.float64(state.step),
         iteration=np.int64(state.iteration),
-        rng_json=np.bytes_(json.dumps(payload).encode()),
+        seed=np.uint64(state.seed),
     )
 
 
 def load_checkpoint(path) -> ChainState:
+    """Read a checkpoint of save_checkpoint. A file without a seed, written
+    before chain steps were keyed or by another program, is refused."""
     with np.load(path) as f:
-        payload = json.loads(f["rng_json"].item().decode())
-        if payload["bit_generator"] != "Philox":
-            raise ValueError("checkpoint was not written by this sampler")
+        if "seed" not in f:
+            raise ValueError("checkpoint has no seed: it was written before chain steps were "
+                             "keyed by (seed, step), or not by this sampler")
         if "z" not in f:
             raise ValueError("checkpoint has no whitened coordinates z to resume from")
-        xr = np.array(f["xr"], dtype=float)
-        z = np.array(f["z"], dtype=float)
-        step = float(f["step"])
-        iteration = int(f["iteration"])
-    rng_state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.array(payload["counter"], dtype=np.uint64),
-            "key": np.array(payload["key"], dtype=np.uint64),
-        },
-        "buffer": np.array(payload["buffer"], dtype=np.uint64),
-        "buffer_pos": payload["buffer_pos"],
-        "has_uint32": payload["has_uint32"],
-        "uinteger": payload["uinteger"],
-    }
-    return ChainState(xr=xr, z=z, step=step, iteration=iteration, rng_state=rng_state)
+        return ChainState(
+            xr=np.array(f["xr"], dtype=float),
+            z=np.array(f["z"], dtype=float),
+            step=float(f["step"]),
+            iteration=int(f["iteration"]),
+            seed=int(f["seed"]),
+        )

@@ -24,6 +24,7 @@ from edwardsim import (
 )
 from edwardsim.cli import _COMMANDS, _build_parser, _effective_config, main
 from edwardsim.config import _SECTIONS
+from edwardsim.mala import IAT_MIN
 
 
 class TestParse:
@@ -399,7 +400,8 @@ class TestCliMala:
             "config_effective.ini",
         }
 
-    def test_four_samples_write_numbers(self, outdir):
+    def test_four_samples_write_stderrs_and_null_iats(self, outdir):
+        # enough samples for batch means, too few for an autocorrelation time
         out = outdir / "run"
         argv = [
             "quantize-run", "--n", "32", "--iterations", "4", "--burn-in", "0",
@@ -408,9 +410,51 @@ class TestCliMala:
         assert _run(argv) == 0
         summary = json.loads((out / "quantize-run" / "mala_summary.json").read_text())
         assert summary["samples"] == 4
+        assert all(isinstance(summary["means"][k]["stderr"], float) for k in ("lc", "logpi"))
+        assert summary["lc_iat"] is None
+        assert summary["coord_iat"] == [None, None]
+        assert summary["logpi_iat"] is None
+
+    def test_iat_min_samples_write_numbers(self, outdir):
+        out = outdir / "run"
+        argv = [
+            "quantize-run", "--n", "32", "--iterations", str(IAT_MIN), "--burn-in", "0",
+            "--thin", "1", "--out", str(out),
+        ]
+        assert _run(argv) == 0
+        summary = json.loads((out / "quantize-run" / "mala_summary.json").read_text())
+        assert summary["samples"] == IAT_MIN
         stats = [summary["lc_iat"], *summary["coord_iat"], summary["logpi_iat"]]
         stats += [summary["means"][k]["stderr"] for k in ("lc", "logpi")]
         assert all(isinstance(x, float) for x in stats)
+
+    def test_two_legs_match_one(self, outdir):
+        # every step is keyed by (seed, step), so a resumed run continues the chain
+        common = ["quantize-run", "--n", "32", "--burn-in", "50", "--thin", "5"]
+        assert _run(common + ["--iterations", "200", "--out", str(outdir / "one")]) == 0
+        assert _run(common + ["--iterations", "120", "--out", str(outdir / "leg1")]) == 0
+        ck = outdir / "leg1" / "quantize-run" / "mala_checkpoint.npz"
+        argv = common + ["--iterations", "80", "--resume", str(ck), "--out", str(outdir / "leg2")]
+        assert _run(argv) == 0
+        rows = {
+            name: (outdir / name / "quantize-run" / "mala_trace.csv").read_text().splitlines()
+            for name in ("one", "leg1", "leg2")
+        }
+        assert rows["leg1"] + rows["leg2"][1:] == rows["one"]
+        z = [np.load(outdir / name / "quantize-run" / "mala_checkpoint.npz")["z"]
+             for name in ("one", "leg2")]
+        assert np.array_equal(z[0], z[1])
+
+    def test_resume_under_another_seed_exits_2(self, outdir, capsys):
+        out1 = outdir / "leg1"
+        argv = ["quantize-run", "--n", "32", "--iterations", "40", "--burn-in", "0",
+                "--thin", "10", "--seed", "3", "--out", str(out1)]
+        assert _run(argv) == 0
+        ck = out1 / "quantize-run" / "mala_checkpoint.npz"
+        argv2 = ["quantize-run", "--n", "32", "--iterations", "40", "--burn-in", "0",
+                 "--thin", "10", "--seed", "4", "--resume", str(ck), "--out", str(outdir / "leg2")]
+        assert _run(argv2) == 2
+        assert "seed 3, this chain has seed 4" in capsys.readouterr().err
 
     def test_resume_accepts_a_burn_in_longer_than_the_run(self, outdir):
         # a resume skips burn-in, so --burn-in only matters on a fresh run

@@ -9,6 +9,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "edwardsim"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+# callables that build a generator; only rng.py, which owns the key policy, calls them
+GENERATOR_CONSTRUCTORS = {"Philox", "Generator", "default_rng"}
 # scripts whose imports are linted alongside the package modules
 SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
 
@@ -109,6 +111,19 @@ def public_functions_taking(source: str, *params: str) -> list[str]:
     return found
 
 
+def generator_constructions(source: str) -> list[str]:
+    """Calls that build a numpy bit generator or Generator, by attribute
+    (`np.random.Philox(...)`) or by imported name (`default_rng(...)`)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in GENERATOR_CONSTRUCTORS:
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
 def test_finds_an_unused_import():
     source = "import os\nfrom dataclasses import dataclass, field\n\n@dataclass\nclass A:\n    x: int = os.sep\n"
     assert unused_imports(source) == ["field (line 2)"]
@@ -169,3 +184,19 @@ def test_finds_an_unread_private_name():
 
 def test_no_unread_private_names():
     assert unread_private_names({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def test_finds_generator_constructions():
+    source = (
+        "import numpy as np\nfrom numpy.random import default_rng\n\n"
+        "g = np.random.Generator(np.random.Philox(key=k))\n"
+        "h = default_rng(3)\nt: np.random.Generator = g\nx = g.standard_normal(3)\n"
+    )
+    assert sorted(generator_constructions(source)) == [
+        "Generator (line 4)", "Philox (line 4)", "default_rng (line 5)"
+    ]
+
+
+def test_only_rng_constructs_generators():
+    # every draw is keyed by (seed, index) in one place
+    assert [p.name for p in SOURCES if generator_constructions(p.read_text())] == ["rng.py"]

@@ -17,7 +17,7 @@ from edwardsim import (
     silt_raw_batch,
     sokal_iat,
 )
-from edwardsim.mala import _Target, _full, _make_state, _propose
+from edwardsim.mala import IAT_MIN, _Target, _full, _make_state, _propose
 from pair_reference import pair_silt_and_grad
 
 
@@ -366,27 +366,50 @@ class TestCheckpoint:
         assert np.array_equal(back.z, res.state.z)
         assert np.allclose(back.xr, cov.chol @ back.z, rtol=0.0, atol=1e-13)
         assert back.step == res.state.step
-        assert back.iteration == res.state.iteration
-        rs_a, rs_b = back.rng_state, res.state.rng_state
-        assert rs_a["bit_generator"] == rs_b["bit_generator"] == "Philox"
-        assert np.array_equal(rs_a["state"]["counter"], rs_b["state"]["counter"])
-        assert np.array_equal(rs_a["state"]["key"], rs_b["state"]["key"])
+        assert back.iteration == res.state.iteration == 100
+        assert back.seed == res.state.seed == p.seed
+
+    def test_checkpoint_holds_plain_arrays(self, chain_setup, tmp_path):
+        p, cov = chain_setup
+        res = run_mala(p, eps=0.05, n_iter=100, burn_in=50, cov=cov, step=0.8, thin=10)
+        ck = tmp_path / "state.npz"
+        save_checkpoint(ck, res.state)
+        with np.load(ck) as f:
+            assert set(f.files) == {"xr", "z", "step", "iteration", "seed"}
+            assert all(f[k].dtype != object for k in f.files)
 
     def test_rejects_foreign_checkpoint(self, tmp_path):
         ck = tmp_path / "bad.npz"
-        np.savez(
-            ck,
-            xr=np.zeros((3, 1)),
-            step=np.float64(0.1),
-            iteration=np.int64(5),
-            rng_json=np.bytes_(b'{"bit_generator": "PCG64"}'),
-        )
+        np.savez(ck, paths=np.zeros((2, 3, 1)), weights=np.ones(2))
         with pytest.raises(ValueError, match="sampler"):
             load_checkpoint(ck)
 
+    def test_rejects_checkpoint_without_seed(self, chain_setup, tmp_path):
+        # the layout written before chain steps were keyed: a generator state, no seed
+        p, cov = chain_setup
+        res = run_mala(p, eps=0.05, n_iter=100, burn_in=50, cov=cov, step=0.8, thin=10)
+        old = tmp_path / "old.npz"
+        np.savez(
+            old,
+            xr=res.state.xr,
+            z=res.state.z,
+            step=np.float64(res.state.step),
+            iteration=np.int64(res.state.iteration),
+            rng_json=np.bytes_(b'{"bit_generator": "Philox"}'),
+        )
+        with pytest.raises(ValueError, match="no seed"):
+            load_checkpoint(old)
+
+    def test_rejects_resume_under_another_seed(self, chain_setup):
+        p, cov = chain_setup
+        res = run_mala(p, eps=0.05, n_iter=100, burn_in=50, cov=cov, step=0.8, thin=10)
+        with pytest.raises(ValueError, match="seed 0, this chain has seed 7"):
+            run_mala(replace(p, seed=7), eps=0.05, n_iter=100, burn_in=0, cov=cov,
+                     thin=10, resume=res.state)
+
     def test_rejects_state_of_another_grid(self, chain_setup):
         p, cov = chain_setup
-        res = run_mala(p, eps=0.05, n_iter=100, burn_in=50, cov=cov, step=0.5, thin=10)
+        res = run_mala(p, eps=0.05, n_iter=100, burn_in=50, cov=cov, step=0.8, thin=10)
         for other in (replace(p, d=3), replace(p, N=64)):
             with pytest.raises(ValueError, match="checkpoint state has shape"):
                 run_mala(other, eps=0.05, n_iter=100, burn_in=0, thin=10, resume=res.state)
@@ -499,7 +522,11 @@ class TestSokalIat:
             sokal_iat(np.ones(1))
         with pytest.raises(ValueError, match="1-D trace"):
             sokal_iat(np.ones((10, 2)))
+        # shorter than IAT_MIN: estimates there fell below the floor of 1
+        with pytest.raises(ValueError, match=f"at least IAT_MIN = {IAT_MIN} samples"):
+            sokal_iat(np.random.default_rng(1).standard_normal(IAT_MIN - 1))
+        assert np.isfinite(sokal_iat(np.random.default_rng(1).standard_normal(IAT_MIN)))
         # constant traces, also ones whose mean does not round back to the value
-        for trace in (np.ones(10), np.full(50, 0.1), np.full(300, 7.7)):
+        for trace in (np.ones(IAT_MIN), np.full(50, 0.1), np.full(300, 7.7)):
             with pytest.raises(ValueError, match="constant"):
                 sokal_iat(trace)
