@@ -262,7 +262,10 @@ def _stderr(trace: np.ndarray) -> float | None:
 
 
 def _cmd_quantize_run(cfg, args, params, cov, outdir) -> list[Path]:
-    resume = load_checkpoint(args.resume) if args.resume else None
+    try:
+        resume = load_checkpoint(args.resume) if args.resume else None
+    except OSError as exc:
+        raise ConfigError(f"cannot read checkpoint {args.resume}: {exc.strerror or exc}") from exc
     result = run_mala(
         params,
         eps=cfg.mala_eps,

@@ -5,10 +5,10 @@ The reweighted (polymer-type) path law is
     d nu_g = exp(-g * L_c) d nu / E[exp(-g * L_c)],
 
 realized here by self-normalized importance sampling: an ensemble of fBm
-paths with weights exp(-g * lc), where lc is the centered SILT at the
-bottom of an eps ladder. Cylinder functions f(l_1(x), ..., l_n(x)) built
-from linear grid functionals have exact directional derivatives along
-Cameron-Martin shifts, and the Dirichlet form
+paths with weights exp(-g * lc), where lc is the centered SILT at one
+working eps, the bottom rung of an eps ladder. Cylinder functions
+f(l_1(x), ..., l_n(x)) built from linear grid functionals have exact
+directional derivatives along Cameron-Martin shifts, and the Dirichlet form
 
     E(f, h) = E_g[ <grad f, grad h>_CM ]
 
@@ -47,10 +47,11 @@ ESS_DEGENERACY_FRACTION = 0.01
 
 @dataclass(eq=False)
 class WeightedEnsemble:
-    """Paths, centered SILT values, and unnormalized weights exp(-g * lc).
+    """Paths, centered SILT values at the working eps, and unnormalized
+    weights exp(-g * lc).
 
-    lc_ladder holds the centered values across the whole eps ladder
-    (column -1 is the working value lc). Weights are finite by
+    Only the working eps is evaluated: the ladder above it, with its
+    convergence diagnostics, is silt_limit's. Weights are finite by
     construction; non-finite weights abort ensemble construction.
     """
 
@@ -59,17 +60,11 @@ class WeightedEnsemble:
     values: np.ndarray
     lc: np.ndarray
     weights: np.ndarray
-    epsilons: np.ndarray
-    lc_ladder: np.ndarray
+    eps: float
 
     @property
     def m(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def eps(self) -> float:
-        """Working regularization: the smallest rung of the ladder."""
-        return float(self.epsilons[-1])
 
     @property
     def ess(self) -> float:
@@ -113,16 +108,18 @@ def edwards_ensemble(
     threads: int = 1,
 ) -> WeightedEnsemble:
     """Sample M paths on index-derived streams and weight them by
-    exp(-g * lc) at the bottom of the eps ladder. `cov` defaults to
-    GridCovariance(params); a given one must match params' (H, N, T).
-    `threads` runs the SILT kernel's chunks in a pool."""
+    exp(-g * lc), with lc the centered SILT at the bottom rung of the
+    ladder, the working eps. The kernel runs at that eps alone, one exp
+    per pair. `cov` defaults to GridCovariance(params); a given one must
+    match params' (H, N, T). `threads` runs the SILT kernel's chunks in a
+    pool."""
     if ladder is None:
         ladder = LadderConfig()
     cov = _covariance_for(params, cov)
     values = sample_fbm_batch(params, m, cov=cov, stream_offset=stream_offset)
-    eps = ladder.epsilons
-    _, _, lc_ladder = centered_ladder(values, params, cov.grid, eps, threads=threads)
-    lc = lc_ladder[:, -1]
+    eps = float(ladder.epsilons[-1])
+    _, _, centered = centered_ladder(values, params, cov.grid, [eps], threads=threads)
+    lc = centered[:, 0]
     log_w = -params.g * lc
     with np.errstate(over="ignore"):
         weights = np.exp(log_w)
@@ -136,8 +133,7 @@ def edwards_ensemble(
         values=values,
         lc=lc,
         weights=weights,
-        epsilons=eps,
-        lc_ladder=lc_ladder,
+        eps=eps,
     )
     if ens.ess < ESS_DEGENERACY_FRACTION * m:
         warnings.warn(

@@ -64,6 +64,8 @@ BATCH_MEANS_MIN = 4
 # fewest trace samples sokal_iat takes: shorter chains gave estimates below
 # the floor of 1 (down to -0.28) up to 24 samples, none from 32 on
 IAT_MIN = 32
+# the arrays of a checkpoint, as save_checkpoint writes them
+_CHECKPOINT_FIELDS = ("xr", "z", "step", "iteration", "seed")
 
 
 class _Target:
@@ -360,14 +362,19 @@ def save_checkpoint(path, state: ChainState) -> None:
 
 
 def load_checkpoint(path) -> ChainState:
-    """Read a checkpoint of save_checkpoint. A file without a seed, written
-    before chain steps were keyed or by another program, is refused."""
+    """Read a checkpoint of save_checkpoint. A file that lacks any of its
+    fields is refused with all of them named; one without a seed was written
+    before chain steps were keyed or by another program."""
     with np.load(path) as f:
-        if "seed" not in f:
-            raise ValueError("checkpoint has no seed: it was written before chain steps were "
-                             "keyed by (seed, step), or not by this sampler")
-        if "z" not in f:
-            raise ValueError("checkpoint has no whitened coordinates z to resume from")
+        missing = [name for name in _CHECKPOINT_FIELDS if name not in f]
+        if missing:
+            why = ["checkpoint lacks " + ", ".join(missing)]
+            if "seed" in missing:
+                why.append("it has no seed: it was written before chain steps were "
+                           "keyed by (seed, step), or not by this sampler")
+            if "z" in missing:
+                why.append("it has no whitened coordinates z to resume from")
+            raise ValueError("; ".join(why))
         return ChainState(
             xr=np.array(f["xr"], dtype=float),
             z=np.array(f["z"], dtype=float),

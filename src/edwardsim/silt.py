@@ -72,9 +72,13 @@ __all__ = [
 
 # paths per kernel chunk, the unit of the thread pool
 _CHUNK_PATHS = 256
-# pair elements per lag block (paths x rows x N); a worker holds two block
-# buffers for an unshifted call, four (2 MB) for a shifted one. 16384 to
-# 131072 time alike for both at N = 256, d = 2, 256 paths (x86-64, 2 cores)
+# pair elements per lag block (rows x N x paths). A block holds at least
+# one lag row of the chunk, N x P elements: at N = P = 256 that row is
+# 65536 elements, and the block is that one row. A worker holds two block
+# buffers for an unshifted call, four (2 MB) for a shifted one. Timed from
+# 16384 to 524288 with 256 paths, d = 2, one thread (x86-64, 2 cores):
+# 65536 was fastest or level at N = 64, 128 and 256; at N = 256, blocks of
+# 2 to 8 rows ran up to 22% slower
 _BLOCK_ELEMENTS = 65_536
 # relative floor below which eps no longer resolves the grid: eps >= 0.1 * spacing^{2H}
 EPS_FLOOR_FACTOR = 0.1
@@ -125,18 +129,20 @@ def silt_raw_batch(
 
     Paths go in fixed chunks of 256, so the chunking, and with it every
     result, does not depend on the thread count. Within a chunk the pairs
-    are visited by lag, in blocks laid out (paths, B, N) with the long
-    i-axis innermost and read through a strided view of the path. Row m of
-    a block is circular: x[(i + m) mod N] - x[i] for every i, which are the
-    pairs of lag m and of lag N - m, so rows 1..N/2 hold every pair once
-    with no padding; the lag-N/2 row of an even N holds its pairs twice
-    and weighs the second half 0. Each row is summed once with its
-    trapezoid pair weights, w_i w_((i+m) mod N) at node i, so the ends need
-    no second pass. B keeps a block near _BLOCK_ELEMENTS, which fits in
-    cache. When -1/(2 eps) doubles from one eps to the next, as down a
+    are visited by lag, in blocks laid out (B, N, paths) with the paths
+    innermost. Row m of a block is circular: x[(i + m) mod N] - x[i] for
+    every i, which are the pairs of lag m and of lag N - m, so rows
+    1..N/2 hold every pair once with no padding; the lag-N/2 row of an
+    even N holds its pairs twice and weighs the second half 0. The chunk
+    is stored (d, 2N, paths), written twice along the nodes, so the
+    leading term of row m is one contiguous (N, paths) slice and every
+    pass over a block is one loop per row. Each row is summed once with
+    its trapezoid pair weights, w_i w_((i+m) mod N) at node i, so the ends
+    need no second pass. B keeps a block near _BLOCK_ELEMENTS and at least
+    one row. When -1/(2 eps) doubles from one eps to the next, as down a
     dyadic ladder, that rung is the previous one squared in place, so a
-    ladder costs one exp per pair. Memory is the chunk written twice in a
-    row and two block buffers, O(M N d) in all.
+    ladder costs one exp per pair. Memory is the chunk written twice and
+    two block buffers, O(M N d) in all.
     """
     return _raw_family(values, grid, np.zeros(values.shape[1:]), [0.0], epsilons, threads)[:, 0]
 
@@ -205,17 +211,24 @@ def _lag_block_sums(
 ) -> np.ndarray:
     """Trapezoid sums of exp(rate * |dx + u dk|^2) over i < j, (P, n_u,
     n_rates), for paths x (P, N, d) and direction k (N, d), in one pass
-    over the circular lag rows 1..N/2, each weighted by its pair weights."""
+    over the circular lag rows 1..N/2, each weighted by its pair weights.
+
+    The chunk is laid out (d, 2N, P), the paths innermost and written twice
+    along the nodes, and k on its own as (d, 2N, 1). Circular row m,
+    z[(i + m) mod N] - z[i] for every node i, holds the pairs of lag m and
+    of lag N - m; its first term is the contiguous (N, P) slice from node
+    m, so a subtract, square or exp over a block of r rows runs r loops of
+    N P elements."""
     p, n, d = x.shape
     acc = np.zeros((p, us.size, rates.size))
-    # the paths and then k, laid out (d, P + 1, N) and written twice along
-    # the nodes; rows[c, q, m, i] = z[c, q, (i + m) mod N]: circular row m
-    # holds the pairs of lag m and of lag N - m; padding the rows with +inf
-    # instead would send exp(-inf) down numpy's slow path
-    twice = np.empty((d, p + 1, 2 * n))
-    twice[:, :p, :n] = twice[:, :p, n:] = np.moveaxis(x, 2, 0)
-    twice[:, p, :n] = twice[:, p, n:] = k.T
-    rows = sliding_window_view(twice, n, axis=2)
+    # the chunk and k written twice along the nodes, so that rows[c, m, i] =
+    # z[c, (i + m) mod N] for m = 0..N; padding the rows with +inf instead
+    # would send exp(-inf) down numpy's slow path. Both are C-ordered:
+    # np.concatenate would keep the path-major order of x.transpose
+    twice, k_twice = np.empty((d, 2 * n, p)), np.empty((d, 2 * n, 1))
+    twice[:, :n] = twice[:, n:] = x.transpose(2, 1, 0)
+    k_twice[:, :n, 0] = k_twice[:, n:, 0] = k.T
+    rows, k_rows = (sliding_window_view(z, n, axis=1).swapaxes(2, 3) for z in (twice, k_twice))
     # node i of row m weighs the pair (i, (i + m) mod N) by w_i w_((i+m) mod N);
     # the lag-N/2 row of an even N repeats its first half, so the second gets 0
     w = _node_weights(n)
@@ -228,36 +241,37 @@ def _lag_block_sums(
         c = pair_w[m0 : m0 + r] * w
         if n % 2 == 0 and m0 + r > half:
             c[-1, half:] = 0.0
-        pairs = rows[:, :, m0 : m0 + r], rows[:, :, :1]
-        for i, j, e in _family_terms(*pairs, moved, us, rates, squares, buf):
+        x_pair = rows[:, m0 : m0 + r], rows[:, :1]
+        k_pair = k_rows[:, m0 : m0 + r], k_rows[:, :1]
+        for i, j, e in _family_terms(x_pair, k_pair, moved, us, rates, squares, buf):
             # einsum, not BLAS: a threaded gemv in each kernel worker
             # oversubscribes the cores
-            acc[:, i, j] += np.einsum("pri,ri->p", e, c)
+            acc[:, i, j] += np.einsum("rip,ri->p", e, c)
     return acc
 
 
-def _family_terms(ahead, behind, moved: list, us, rates, squares, buf: np.ndarray):
+def _family_terms(x_pair, k_pair, moved: list, us, rates, squares, buf: np.ndarray):
     """Yield (i, j, exp(rates[j] * |dx + us[i] dk|^2)) for every u and
-    rate, with dx and dk = ahead - behind for the P paths and for k behind
-    them along axis 1 of ahead and behind (d, P + 1, ...).
+    rate, with dx = ahead - behind of x_pair, (d, r, N, P) less (d, 1, N, P),
+    and dk likewise of k_pair, whose paths axis has length 1.
 
     The geometry is formed once for every u: a = |dx|^2 summed over the
     components in order and, over the components named in `moved`, b =
     2 dx.dk per path and c = |dk|^2; a u of 0, or an empty `moved`, takes
     a alone. buf has 4 rows of at least one pair block each when `moved`
     names components, 2 otherwise."""
-    shape = (ahead.shape[1] - 1,) + ahead.shape[2:]
+    (ahead, behind), (k_ahead, k_behind) = x_pair, k_pair
+    shape = ahead.shape[1:]
     slots = buf[:, : math.prod(shape)].reshape(-1, *shape)
     # dx and then the rungs, a, and for a moving k, b and the shifted argument
     dx, a = slots[:2]
     b, shifted = slots[2:] if moved else (None, None)
-    p = shape[0]
     c = None
     for j, (hi, lo) in enumerate(zip(ahead, behind)):
-        np.subtract(hi[:p], lo[:p], out=dx)
+        np.subtract(hi, lo, out=dx)
         if j in moved:
             # dx enters b before it is squared in place
-            dk = hi[p:] - lo[p:]
+            dk = k_ahead[j] - k_behind[j]
             if c is None:
                 np.multiply(dx, 2.0 * dk, out=b)
                 c = dk * dk

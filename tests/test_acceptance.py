@@ -247,8 +247,7 @@ def test_criterion_08_dirichlet_form(desk_params, desk_cov, desk_ensemble):
         values=desk_ensemble.values,
         lc=desk_ensemble.lc,
         weights=np.ones(desk_ensemble.m),
-        epsilons=desk_ensemble.epsilons,
-        lc_ladder=desk_ensemble.lc_ladder,
+        eps=desk_ensemble.eps,
     )
     j, c = 171, 1
     lin = CylinderFunction(

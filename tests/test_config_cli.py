@@ -456,6 +456,15 @@ class TestCliMala:
         assert _run(argv2) == 2
         assert "seed 3, this chain has seed 4" in capsys.readouterr().err
 
+    def test_resume_from_a_missing_file_exits_1(self, outdir, capsys):
+        missing = outdir / "nope.npz"
+        argv = ["quantize-run", "--n", "32", "--iterations", "40", "--burn-in", "0",
+                "--thin", "10", "--resume", str(missing), "--out", str(outdir)]
+        assert _run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"quantize-run: config error: cannot read checkpoint {missing}" in err
+        assert "No such file or directory" in err
+
     def test_resume_accepts_a_burn_in_longer_than_the_run(self, outdir):
         # a resume skips burn-in, so --burn-in only matters on a fresh run
         out1 = outdir / "leg1"

@@ -6,12 +6,14 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import edwardsim.silt
 from edwardsim import (
     CylinderFunction,
     GridCovariance,
     LadderConfig,
     ModelParams,
     builtin_shift,
+    centered_ladder,
     coordinate_functional,
     dirichlet_form,
     edwards_ensemble,
@@ -21,6 +23,7 @@ from edwardsim import (
     make_shift_from_target,
     make_tanh,
     random_cylinder,
+    silt_raw_batch,
 )
 
 
@@ -32,14 +35,30 @@ def small_ensemble(small_params, small_cov):
 
 
 class TestEnsemble:
-    def test_shapes_and_ladder(self, small_ensemble, small_params):
+    def test_shapes_and_ladder(self, small_ensemble, small_params, small_cov):
         ens = small_ensemble
         assert ens.values.shape == (2000, 64, 2)
-        assert ens.lc.shape == (2000,)
-        assert ens.lc_ladder.shape == (2000, 4)
-        assert np.array_equal(ens.lc, ens.lc_ladder[:, -1])
-        assert ens.eps == ens.epsilons[-1] == 0.0125
+        assert ens.lc.shape == ens.weights.shape == (2000,)
+        assert ens.eps == 0.0125
         assert ens.m == 2000
+        # lc is the bottom rung of the ladder on the same paths: one exp at
+        # the working eps against squarings down the ladder, with the same
+        # expectation subtracted, so they differ by rounding of the raw value
+        eps = LadderConfig(eps0=0.1, levels=4).epsilons
+        raw, _, centered = centered_ladder(ens.values, small_params, small_cov.grid, eps)
+        assert np.all(np.abs(ens.lc - centered[:, -1]) <= 1e-12 * np.abs(raw[:, -1]))
+
+    def test_kernel_runs_at_the_working_eps_alone(self, small_params, small_cov, monkeypatch):
+        calls = []
+
+        def counting(values, grid, epsilons, **kwargs):
+            calls.append(np.asarray(epsilons, dtype=float).tolist())
+            return silt_raw_batch(values, grid, epsilons, **kwargs)
+
+        monkeypatch.setattr(edwardsim.silt, "silt_raw_batch", counting)
+        ens = edwards_ensemble(small_params, 8, LadderConfig(eps0=0.1, levels=5), cov=small_cov)
+        assert calls == [[0.1 * 0.5**4]]
+        assert ens.eps == 0.00625
 
     def test_unit_weights_at_zero_coupling(self, small_cov):
         p = ModelParams(N=64, g=0.0, seed=0)

@@ -378,6 +378,12 @@ class TestCheckpoint:
             assert set(f.files) == {"xr", "z", "step", "iteration", "seed"}
             assert all(f[k].dtype != object for k in f.files)
 
+    def test_rejects_partial_checkpoint_naming_every_missing_field(self, tmp_path):
+        ck = tmp_path / "partial.npz"
+        np.savez(ck, z=np.zeros((3, 2)), seed=np.uint64(0), xr=np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="checkpoint lacks step, iteration$"):
+            load_checkpoint(ck)
+
     def test_rejects_foreign_checkpoint(self, tmp_path):
         ck = tmp_path / "bad.npz"
         np.savez(ck, paths=np.zeros((2, 3, 1)), weights=np.ones(2))

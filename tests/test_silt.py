@@ -26,7 +26,7 @@ from edwardsim import (
     silt_raw_shifted,
 )
 from edwardsim.silt import _assemble_ladder
-from pair_reference import pair_cache
+from pair_reference import pair_cache, pair_silt_and_grad
 
 
 class TestHeatKernel:
@@ -130,6 +130,24 @@ class TestSiltBatch:
         a = silt_raw_batch(vals, cov.grid, eps, threads=1)
         for threads in (2, 3):
             assert np.array_equal(a, silt_raw_batch(vals, cov.grid, eps, threads=threads))
+
+    @pytest.mark.parametrize("m", [1, 257])
+    def test_one_path_chunks_match_single_path(self, m):
+        # one path alone, and a 1-path last chunk after a full one: blocks
+        # of shape (r, N, 1), many lag rows each; against the single-path
+        # call and the enumerated pair sum
+        p = ModelParams(N=64, d=2, seed=9)
+        cov = GridCovariance(p)
+        vals = sample_fbm_batch(p, m, cov=cov)
+        eps = LadderConfig(eps0=0.1, levels=4).epsilons
+        out = silt_raw_batch(vals, cov.grid, eps, threads=1)
+        for threads in (2, 3):
+            assert np.array_equal(out, silt_raw_batch(vals, cov.grid, eps, threads=threads))
+        for i in {0, m - 1}:
+            path = SimpleNamespace(values=vals[i], grid=cov.grid)
+            for got, e in zip(out[i], eps):
+                for ref in (silt_raw(path, e), pair_silt_and_grad(vals[i], cov.grid.spacing, e)[0]):
+                    assert abs(got - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize(
         "d, n, eps",
