@@ -25,7 +25,8 @@ from edwardsim import (
 params = ModelParams(H=0.5, d=2, T=1.0, N=256, seed=11)
 cov = GridCovariance(params)
 
-# named shifts: target functions solved through the covariance
+# named shifts on the grid of cov: linear and sine targets are solved
+# through the covariance; covcol:j has the unit weight vector e_j itself
 for name in ("linear", "sine", "covcol:64"):
     sh = builtin_shift(name, params, cov=cov)
     print(f"{name:<9} energy {sh.energy:.6f}")
@@ -33,7 +34,7 @@ for name in ("linear", "sine", "covcol:64"):
 # a custom target: reach (1, -1) smoothly by time T
 target = np.stack([cov.grid.points, -cov.grid.points], axis=1) ** 2
 custom = make_shift_from_target(params, k=target, cov=cov)
-custom.check(cov)
+custom.check()
 print(f"custom    energy {custom.energy:.6f}")
 
 # for H > 1/2 a density h in L2 generates a shift through the kernel;

@@ -56,10 +56,11 @@ grads = gradient_cylinder(f, shift, ens.values[:5])
 print(f"\ndirectional derivatives of a random cylinder on 5 paths: {np.round(grads, 4)}")
 
 # the Dirichlet form E(f, h) = E_g[<grad f, grad h>_CM] with the full
-# Cameron-Martin gradient: symmetric, nonnegative, exact for linear functionals
-fh, fh_se = dirichlet_form(f, h, ens, cov=cov)
-hf, _ = dirichlet_form(h, f, ens, cov=cov)
-ff, ff_se = dirichlet_form(f, f, ens, cov=cov)
+# Cameron-Martin gradient, from the factor of the ensemble's own covariance:
+# symmetric, nonnegative, exact for linear functionals
+fh, fh_se = dirichlet_form(f, h, ens)
+hf, _ = dirichlet_form(h, f, ens)
+ff, ff_se = dirichlet_form(f, f, ens)
 print(f"form(f,h) = {fh:+.5f} (se {fh_se:.5f}), symmetric: {fh == hf}")
 print(f"form(f,f) = {ff:+.5f} (se {ff_se:.5f}), nonnegative: {ff >= 0}")
 
@@ -67,5 +68,5 @@ lin = CylinderFunction(
     weights=coordinate_functional(cov.grid, params.d, 100, 0)[None],
     fn=make_linear([1.0]),
 )
-val, _ = dirichlet_form(lin, lin, ens, cov=cov)
+val, _ = dirichlet_form(lin, lin, ens)
 print(f"linear functional x(t_100): form value {val:.6f}, Sigma_jj {cov.sigma[99, 99]:.6f}")

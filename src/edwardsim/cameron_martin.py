@@ -3,9 +3,11 @@
 A shift direction is a path k in the reproducing-kernel space of the fBm
 covariance. On the grid a shift is represented by its samples k (with
 k(t_0) = 0) together with the weight vector w solving sigma @ w = k[1:],
-one weight column per component. The discrete energy w^T k plays the role
-of the squared reproducing-kernel norm, and the density of the law of
-(X + u k) against the law of X is
+one weight column per component, and the GridCovariance it was solved on,
+which fixes its (H, N, T): a path or params given beside a shift is checked
+against it. The discrete energy w^T k plays the role of the squared
+reproducing-kernel norm, and the density of the law of (X + u k) against
+the law of X is
 
     exp(u * w^T x - 0.5 * u^2 * w^T k),
 
@@ -26,7 +28,7 @@ and scipy.integrate, when called; grid shifts need neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -94,17 +96,22 @@ def kernel_rh(H: float, t: float, s: float) -> float:
 
 @dataclass(eq=False)
 class CMShift:
-    """Grid realization of a shift direction.
+    """Grid realization of a shift direction on the grid of `cov`.
 
     k has shape (N, d) with k[0] = 0; w has shape (N-1, d) and solves
-    sigma @ w[:, c] = k[1:, c] per component; h is the generating control
-    when the shift was built from one (None otherwise).
+    cov.sigma @ w[:, c] = k[1:, c] per component, so the shift belongs to
+    the (H, N, T) that cov was built for; h is the generating control when
+    the shift was built from one (None otherwise).
     """
 
-    grid: TimeGrid
+    cov: GridCovariance
     k: np.ndarray
     w: np.ndarray
     h: np.ndarray | None = None
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.cov.grid
 
     @property
     def d(self) -> int:
@@ -115,10 +122,10 @@ class CMShift:
         """Discrete squared norm w^T k summed over components."""
         return float(np.sum(self.w * self.k[1:]))
 
-    def check(self, cov: GridCovariance, tol: float = 1e-8) -> None:
+    def check(self, tol: float = 1e-8) -> None:
         if np.any(self.k[0] != 0.0):
             raise AssertionError("shift must vanish at t_0")
-        resid = cov.sigma @ self.w - self.k[1:]
+        resid = self.cov.sigma @ self.w - self.k[1:]
         scale = max(np.linalg.norm(self.k[1:]), 1e-300)
         if np.linalg.norm(resid) / scale > tol:
             raise AssertionError("weights do not solve sigma @ w = k")
@@ -148,14 +155,12 @@ def make_shift_from_target(
     (H, N, T).
     """
     cov = _covariance_for(params, cov)
-    grid = cov.grid
-    k = _as_columns(k, grid.n, params.d, "k")
+    k = _as_columns(k, cov.grid.n, params.d, "k")
     if not np.all(np.abs(k[0]) <= 1e-12):
         raise ValueError("shift target must vanish at t_0")
     k = k.copy()
     k[0] = 0.0
-    w = cov.solve(k[1:])
-    return CMShift(grid=grid, k=k, w=w)
+    return CMShift(cov=cov, k=k, w=cov.solve(k[1:]))
 
 
 def make_shift_from_h(
@@ -192,16 +197,16 @@ def make_shift_from_h(
                 integrand, 0.0, t, limit=200, epsabs=1e-10, epsrel=1e-8
             )
             k[i, c] = val
-    shift = make_shift_from_target(params, k, cov=cov)
-    return CMShift(grid=shift.grid, k=shift.k, w=shift.w, h=h)
+    return replace(make_shift_from_target(params, k, cov=cov), h=h)
 
 
 def builtin_shift(
     name: str, params: ModelParams, *, cov: GridCovariance | None = None
 ) -> CMShift:
     """Named shifts: "linear" (t in component 1), "sine" (sin(pi t / T) in
-    component 1), "covcol:j" (j-th covariance column, 1-based). `cov` is
-    taken as in make_shift_from_target."""
+    component 1), "covcol:j" (j-th covariance column in component 1,
+    1-based). `cov` is taken as in make_shift_from_target. The covcol:j
+    weights are e_j itself, exactly, so that shift needs no solve."""
     cov = _covariance_for(params, cov)
     grid = cov.grid
     t = grid.points
@@ -213,23 +218,25 @@ def builtin_shift(
         j = int(name.split(":", 1)[1])
         if not 1 <= j <= grid.n - 1:
             raise ValueError(f"covcol index must lie in 1..{grid.n - 1}, got {j}")
-        k = np.zeros(grid.n)
-        k[1:] = cov.sigma[:, j - 1]
-        return make_shift_from_target(params, k, cov=cov)
+        k = np.zeros((grid.n, params.d))
+        w = np.zeros((grid.n - 1, params.d))
+        k[1:, 0] = cov.sigma[:, j - 1]
+        w[j - 1, 0] = 1.0
+        return CMShift(cov=cov, k=k, w=w)
     raise ValueError(f"unknown shift name {name!r}")
 
 
 @dataclass(eq=False)
 class ShiftedPath:
-    """base + u * k, materialized so downstream code sees plain values."""
+    """base + u * k, materialized so downstream code sees plain values.
+    The base path must be drawn for the (H, N, T) of the shift's cov."""
 
     base: FbmPath
     shift: CMShift
     u: float
 
     def __post_init__(self):
-        if not self.base.grid.same_as(self.shift.grid):
-            raise ValueError("path and shift must share a grid")
+        _covariance_for(self.base.params, self.shift.cov)
         if self.shift.k.shape[1] != self.base.d:
             raise ValueError("path and shift must share the component count")
         self.values = self.base.values + self.u * self.shift.k
@@ -251,24 +258,37 @@ class ShiftedPath:
         return self.base.d
 
 
+def _log_density(shift: CMShift, us: np.ndarray, values: np.ndarray, tilt=0.0, *, overflow=None):
+    """(M, n_u) log density tilt + u * w^T x - 0.5 * u^2 * w^T k at each
+    path x of `values` (M, N, d) and each u of `us`: the one Gaussian
+    change-of-measure formula of single paths and batches. When `overflow`
+    names the caller, a value beyond the double range of exp raises
+    OverflowError naming it."""
+    cm = np.tensordot(values[:, 1:, :], shift.w, axes=([1, 2], [0, 1]))
+    log = tilt + (us * cm[:, None] - 0.5 * us * us * shift.energy)
+    if overflow is not None and np.any(log > _LOG_OVERFLOW):
+        raise OverflowError(
+            f"{overflow} overflows the double range: log density {np.max(log):.3e}"
+        )
+    return log
+
+
 def log_gaussian_rn_density(shift: CMShift, u: float, path) -> float:
     """log of the shift-u density: u * w^T x - 0.5 * u^2 * w^T k, summed
-    over components. Affine in the path values."""
-    if not shift.grid.same_as(path.grid):
-        raise ValueError("shift and path must share a grid")
-    x = path.values[1:]
-    return float(u * np.sum(shift.w * x) - 0.5 * u * u * shift.energy)
+    over components. Affine in the path values. The path (any object with
+    `params` and `values`) must be drawn for the (H, N, T) of the shift's
+    cov."""
+    _covariance_for(path.params, shift.cov)
+    return float(_log_density(shift, np.array([u]), path.values[None])[0, 0])
 
 
 def gaussian_rn_density(shift: CMShift, u: float, path) -> float:
-    """Density of law(X + u k) against law(X) at the given path.
+    """Density of law(X + u k) against law(X) at the given path, which is
+    checked as in log_gaussian_rn_density.
 
     Strictly positive; equal to 1 at u = 0. Raises OverflowError when the
     value leaves the double range instead of returning inf.
     """
-    log_val = log_gaussian_rn_density(shift, u, path)
-    if log_val > _LOG_OVERFLOW:
-        raise OverflowError(
-            f"gaussian_rn_density overflows: log density {log_val:.3e}"
-        )
-    return float(np.exp(log_val))
+    _covariance_for(path.params, shift.cov)
+    log = _log_density(shift, np.array([u]), path.values[None], overflow="gaussian_rn_density")
+    return float(np.exp(log[0, 0]))

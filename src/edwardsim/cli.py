@@ -24,6 +24,7 @@ import platform
 import shutil
 import sys
 import time
+import zipfile
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -37,6 +38,7 @@ from .fbm import FbmPath, GridCovariance, sample_fbm_batch
 from .mala import (
     BATCH_MEANS_MIN,
     IAT_MIN,
+    ChainState,
     batch_means_stderr,
     load_checkpoint,
     run_mala,
@@ -145,13 +147,7 @@ def _cmd_holder_check(cfg, args, params, cov, outdir) -> list[Path]:
     shift = _resolve_shift(cfg.shift, params, cov)
     deltas = np.geomspace(cfg.delta_min, cfg.delta_max, cfg.n_deltas)
     report = holder_verify(
-        params,
-        shift,
-        cfg.holder_epsilons,
-        deltas,
-        cfg.paths,
-        cov=cov,
-        threads=cfg.threads,
+        params, shift, cfg.holder_epsilons, deltas, cfg.paths, threads=cfg.threads
     )
     # operative rows at the smallest eps: pairs (u, 0)
     pairs = np.column_stack(
@@ -190,13 +186,7 @@ def _cmd_density_scan(cfg, args, params, cov, outdir) -> list[Path]:
     values = sample_fbm_batch(params, cfg.paths, cov=cov)
     u_grid = np.linspace(0.0, cfg.u_max, cfg.n_u)
     scan = continuity_scan(
-        shift,
-        u_grid,
-        values,
-        cov.grid,
-        cfg.density_eps,
-        g=params.g,
-        threads=cfg.threads,
+        shift, u_grid, values, cfg.density_eps, g=params.g, threads=cfg.threads
     )
     table = outdir / "density_scan.csv"
     _write_csv(
@@ -261,11 +251,23 @@ def _stderr(trace: np.ndarray) -> float | None:
     return None if trace.size < BATCH_MEANS_MIN else batch_means_stderr(trace)
 
 
-def _cmd_quantize_run(cfg, args, params, cov, outdir) -> list[Path]:
+def _read_resume(path: str) -> ChainState:
+    """The checkpoint named by --resume. A file that cannot be read, is not
+    an npz archive or lacks a checkpoint field is a config error naming it;
+    whether the chain may continue from it is run_mala's to decide."""
     try:
-        resume = load_checkpoint(args.resume) if args.resume else None
+        with open(path, "rb") as fh:
+            if not zipfile.is_zipfile(fh):
+                raise ValueError("it is not an npz archive")
+        return load_checkpoint(path)
     except OSError as exc:
-        raise ConfigError(f"cannot read checkpoint {args.resume}: {exc.strerror or exc}") from exc
+        raise ConfigError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from exc
+    except (ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{path} is not a quantize-run checkpoint: {exc}") from exc
+
+
+def _cmd_quantize_run(cfg, args, params, cov, outdir) -> list[Path]:
+    resume = _read_resume(args.resume) if args.resume else None
     result = run_mala(
         params,
         eps=cfg.mala_eps,

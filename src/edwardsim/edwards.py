@@ -13,7 +13,7 @@ directional derivatives along Cameron-Martin shifts, and the Dirichlet form
     E(f, h) = E_g[ <grad f, grad h>_CM ]
 
 (no factor 1/2), with the full Cameron-Martin gradient, is estimated in
-closed form from the covariance factor.
+closed form from the factor of the covariance the ensemble carries.
 """
 
 from __future__ import annotations
@@ -47,20 +47,28 @@ ESS_DEGENERACY_FRACTION = 0.01
 
 @dataclass(eq=False)
 class WeightedEnsemble:
-    """Paths, centered SILT values at the working eps, and unnormalized
-    weights exp(-g * lc).
+    """Paths drawn with `cov`, centered SILT values at the working eps, and
+    unnormalized weights exp(-g * lc).
 
     Only the working eps is evaluated: the ladder above it, with its
     convergence diagnostics, is silt_limit's. Weights are finite by
-    construction; non-finite weights abort ensemble construction.
+    construction; non-finite weights abort ensemble construction. cov must
+    be built for params' (H, N, T).
     """
 
     params: ModelParams
-    grid: TimeGrid
+    cov: GridCovariance
     values: np.ndarray
     lc: np.ndarray
     weights: np.ndarray
     eps: float
+
+    def __post_init__(self):
+        _covariance_for(self.params, self.cov)
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.cov.grid
 
     @property
     def m(self) -> int:
@@ -129,7 +137,7 @@ def edwards_ensemble(
         )
     ens = WeightedEnsemble(
         params=params,
-        grid=cov.grid,
+        cov=cov,
         values=values,
         lc=lc,
         weights=weights,
@@ -279,11 +287,7 @@ def gradient_cylinder(fcn: CylinderFunction, shift: CMShift, values: np.ndarray)
 
 
 def dirichlet_form(
-    f: CylinderFunction,
-    h: CylinderFunction,
-    ensemble: WeightedEnsemble,
-    *,
-    cov: GridCovariance | None = None,
+    f: CylinderFunction, h: CylinderFunction, ensemble: WeightedEnsemble
 ) -> tuple[float, float]:
     """Weighted estimate of E(f, h) = E_g[<grad f, grad h>_CM] with the full
     Cameron-Martin gradient. Returns (value, stderr).
@@ -293,14 +297,12 @@ def dirichlet_form(
     A_f stacks C^T w_i[1:, c] over the components c (node 0 is pinned and
     carries no gradient). The per-path summand is formed identically for
     (f, h) and (h, f), so the estimate is symmetric to the bit; for f = h
-    it is a weighted mean of squares and therefore nonnegative. `cov`
-    defaults to GridCovariance(ensemble.params); a given one must match the
-    ensemble's (H, N, T).
+    it is a weighted mean of squares and therefore nonnegative. C is the
+    factor of the ensemble's own covariance.
     """
-    cov = _covariance_for(ensemble.params, cov)
 
     def cm_gradient(fcn: CylinderFunction) -> np.ndarray:  # (M, (N-1) d)
-        a = np.tensordot(fcn.weights[:, 1:, :], cov.chol, axes=([1], [0]))
+        a = np.tensordot(fcn.weights[:, 1:, :], ensemble.cov.chol, axes=([1], [0]))
         return fcn.grad_coeffs(ensemble.values) @ a.reshape(fcn.n_args, -1)
 
     return ensemble.expectation(np.sum(cm_gradient(f) * cm_gradient(h), axis=1))

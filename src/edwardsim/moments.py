@@ -15,8 +15,9 @@ centered SILT between two shift magnitudes, the Holder-slope report, and
 the exact density of the shifted reweighted law with its continuity scan.
 The last three take the SILT along the Cameron-Martin family x + u k, under
 which that law is quasi-invariant, from one silt_raw_shifted call on a
-shared base ensemble (common random numbers); u = 0 is the base. Only the
-moment quadratures and the closed form import scipy.integrate and
+shared base ensemble (common random numbers); u = 0 is the base. The grid,
+and the law of the paths they draw, come from the shift's covariance. Only
+the moment quadratures and the closed form import scipy.integrate and
 scipy.special, when called; the CLI calls neither.
 """
 
@@ -26,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cameron_martin import _LOG_OVERFLOW, CMShift
-from .fbm import GridCovariance, _covariance_for, sample_fbm_batch
-from .params import ModelParams, TimeGrid
+from .cameron_martin import CMShift, _log_density
+from .fbm import _covariance_for, sample_fbm_batch
+from .params import ModelParams
 from .rng import stream
 from .silt import silt_raw_shifted
 
@@ -221,31 +222,31 @@ def gaussian_moment_integral(
 # ----------------------------------------------------- L^2 Holder machinery #
 
 
+def _shifted_silt(who, params: ModelParams, shift: CMShift, us, epsilons, m: int, threads: int):
+    """Raw SILT (m, n_u, n_eps) of the family x + u k on m base paths drawn
+    with sample_fbm_batch(params, m, cov=shift.cov), shared by every u and
+    eps (common random numbers). params must have the shift's (H, N, T);
+    m >= 2, since the callers report a standard error."""
+    if m < 2:
+        raise ValueError(f"{who} needs at least 2 paths for a standard error, got m={m}")
+    cov = _covariance_for(params, shift.cov)
+    values = sample_fbm_batch(params, m, cov=cov)
+    return silt_raw_shifted(values, cov.grid, shift.k, us, epsilons, threads=threads)
+
+
 def l2_difference_silt(
-    params: ModelParams,
-    shift: CMShift,
-    eps: float,
-    u: float,
-    v: float,
-    m: int,
-    *,
-    cov: GridCovariance | None = None,
-    threads: int = 1,
+    params: ModelParams, shift: CMShift, eps: float, u: float, v: float, m: int, *, threads: int = 1
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E[(L_eps,c(u k) - L_eps,c(v k))^2] over m
-    paths drawn with sample_fbm_batch(params, m, cov=cov).
+    paths drawn with the shift's covariance, whose (H, N, T) params must
+    share.
 
     Common random numbers: both shift magnitudes are applied to the same
     base paths, so u = v gives exactly zero and the estimate is symmetric
     in (u, v) to the bit. The centering terms cancel in the difference.
     Returns (estimate, stderr); needs at least 2 paths for the stderr.
     """
-    if m < 2:
-        raise ValueError(
-            f"l2_difference_silt needs at least 2 paths for a standard error, got m={m}"
-        )
-    values = sample_fbm_batch(params, m, cov=cov)
-    raw = silt_raw_shifted(values, shift.grid, shift.k, [u, v], [eps], threads=threads)[:, :, 0]
+    raw = _shifted_silt("l2_difference_silt", params, shift, [u, v], [eps], m, threads)[:, :, 0]
     dsq = (raw[:, 0] - raw[:, 1]) ** 2
     return float(np.mean(dsq)), float(np.std(dsq, ddof=1) / np.sqrt(m))
 
@@ -308,28 +309,17 @@ class HolderReport:
 
 
 def holder_verify(
-    params: ModelParams,
-    shift: CMShift,
-    epsilons,
-    deltas,
-    m: int,
-    *,
-    cov: GridCovariance | None = None,
-    threads: int = 1,
+    params: ModelParams, shift: CMShift, epsilons, deltas, m: int, *, threads: int = 1
 ) -> HolderReport:
     """Estimate E[(L_eps,c(delta k) - L_eps,c(0))^2] on a delta schedule for
     each eps and fit the log-log slope, sharing one base ensemble of m
-    paths, drawn with sample_fbm_batch(params, m, cov=cov), across every
-    cell (common random numbers)."""
+    paths, drawn with the shift's covariance, across every cell (common
+    random numbers). params must share the shift's (H, N, T)."""
     epsilons = np.atleast_1d(np.asarray(epsilons, dtype=float))
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     if np.any(deltas <= 0.0):
         raise ValueError("delta schedule must be positive")
-    if m < 2:
-        raise ValueError(f"holder_verify needs at least 2 paths for a standard error, got m={m}")
-    cov = _covariance_for(params, cov)
-    values = sample_fbm_batch(params, m, cov=cov)
-    raw = silt_raw_shifted(values, cov.grid, shift.k, [0.0, *deltas], epsilons, threads=threads)
+    raw = _shifted_silt("holder_verify", params, shift, [0.0, *deltas], epsilons, m, threads)
     # row 0 of the family is the base; est[k, p] is at eps k and delta p
     dsq = (raw[:, 1:] - raw[:, :1]) ** 2
     est = dsq.mean(axis=0).T
@@ -353,68 +343,43 @@ def holder_verify(
 # --------------------------------------------------------- density process #
 
 
-def density_process(
-    shift: CMShift,
-    u: float,
-    path,
-    eps: float,
-    *,
-    g: float | None = None,
-) -> float:
+def density_process(shift: CMShift, u: float, path, eps: float, *, g: float | None = None) -> float:
     """Density of the reweighted path law under the shift u*k at this path:
     exp(-g * [L_eps(x - u k) - L_eps(x)]) times the Gaussian factor of
     gaussian_rn_density.
 
     This is the exact finite-dimensional density of the shifted reweighted
     law against itself, and integrates to 1 under the reweighted ensemble
-    for every eps and g. At u = 0 the value is exactly 1; at g = 0 it
-    reduces to gaussian_rn_density (same formula, vectorized evaluation
-    order). g defaults to path.params.g.
+    for every eps and g. At u = 0 the value is exactly 1; at g = 0 it equals
+    gaussian_rn_density to the bit (one formula). g defaults to
+    path.params.g; the path must be drawn for the (H, N, T) of the shift's
+    cov.
     """
-    vals = density_process_batch(
-        shift, u, path.values[None], path.grid, eps, g=path.params.g if g is None else g
-    )
-    return float(vals[0])
+    _covariance_for(path.params, shift.cov)
+    g = path.params.g if g is None else g
+    return float(density_process_batch(shift, u, path.values[None], eps, g=g)[0])
 
 
 def density_process_batch(
-    shift: CMShift,
-    u: float,
-    values: np.ndarray,
-    grid: TimeGrid,
-    eps: float,
-    *,
-    g: float,
-    threads: int = 1,
+    shift: CMShift, u: float, values: np.ndarray, eps: float, *, g: float, threads: int = 1
 ) -> np.ndarray:
-    """Vectorized density process over a batch of paths (M, N, d)."""
-    log_a = _log_densities(shift, np.array([float(u)]), values, grid, eps, g, threads)
+    """Vectorized density process over a batch of paths (M, N, d) on the
+    shift's grid; that the paths follow the law of the shift's covariance is
+    the caller's to ensure."""
+    log_a = _log_densities(shift, np.array([float(u)]), values, eps, g, threads)
     return np.exp(log_a[:, 0])
 
 
-def _log_densities(
-    shift: CMShift,
-    us: np.ndarray,
-    values: np.ndarray,
-    grid: TimeGrid,
-    eps: float,
-    g: float,
-    threads: int,
-) -> np.ndarray:
+def _log_densities(shift: CMShift, us, values, eps: float, g: float, threads: int):
     """(M, n_u) log density process at each u of `us`, from one shifted
     family at -us. The unshifted SILT is the family's u = 0 row when `us`
     holds 0, and a row of its own in front otherwise."""
     zero = np.flatnonzero(us == 0.0)
     family = -us if zero.size else np.append(0.0, -us)
-    raw = silt_raw_shifted(values, grid, shift.k, family, [eps], threads=threads)[:, :, 0]
+    raw = silt_raw_shifted(values, shift.grid, shift.k, family, [eps], threads=threads)[:, :, 0]
     base = raw[:, zero[0] if zero.size else 0]
     delta = raw[:, family.size - us.size :] - base[:, None]
-    cm = np.tensordot(values[:, 1:, :], shift.w, axes=([1, 2], [0, 1]))
-    log_rn = us * cm[:, None] - 0.5 * us * us * shift.energy
-    log_weight = -g * delta + log_rn
-    if np.any(log_weight > _LOG_OVERFLOW):
-        raise OverflowError("density_process overflows the double range")
-    return log_weight
+    return _log_density(shift, us, values, -g * delta, overflow="density_process")
 
 
 @dataclass(eq=False)
@@ -463,18 +428,12 @@ class ContinuityScan:
 
 
 def continuity_scan(
-    shift: CMShift,
-    u_grid,
-    values: np.ndarray,
-    grid: TimeGrid,
-    eps: float,
-    *,
-    g: float,
-    threads: int = 1,
+    shift: CMShift, u_grid, values: np.ndarray, eps: float, *, g: float, threads: int = 1
 ) -> ContinuityScan:
-    """Evaluate the density process on a u grid for each path in `values`."""
+    """Evaluate the density process on a u grid for each path in `values`
+    (M, N, d), taken on the shift's grid as in density_process_batch."""
     u_grid = np.atleast_1d(np.asarray(u_grid, dtype=float))
     if u_grid.size < 3:
         raise ValueError("u grid needs at least 3 points")
-    log_dens = _log_densities(shift, u_grid, values, grid, eps, g, threads)
+    log_dens = _log_densities(shift, u_grid, values, eps, g, threads)
     return ContinuityScan(u_grid=u_grid, log_densities=log_dens)

@@ -98,11 +98,6 @@ class TimeGrid:
     def horizon(self) -> float:
         return float(self.points[-1])
 
-    def same_as(self, other: "TimeGrid") -> bool:
-        return self.points.shape == other.points.shape and bool(
-            np.array_equal(self.points, other.points)
-        )
-
 
 def make_grid(params: ModelParams) -> TimeGrid:
     """Uniform grid with N points on [0, T]."""

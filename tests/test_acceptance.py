@@ -150,7 +150,7 @@ def test_criterion_05_holder_exponent(desk_params, desk_cov, desk_ladder):
     shift = builtin_shift("sine", desk_params, cov=desk_cov)
     eps = desk_ladder.epsilons[[1, 3, 4]]  # down to the smallest rung
     report = holder_verify(
-        desk_params, shift, eps, [0.05, 0.1, 0.2, 0.4], 4000, cov=desk_cov
+        desk_params, shift, eps, [0.05, 0.1, 0.2, 0.4], 4000
     )
     _report(
         5,
@@ -170,14 +170,14 @@ def test_criterion_06_rn_normalization(desk_params, desk_cov, desk_ensemble):
     for u in (0.5, 1.0):
         rn = np.array(
             [
-                gaussian_rn_density(shift, u, SimpleNamespace(values=v, grid=grid))
+                gaussian_rn_density(shift, u, SimpleNamespace(values=v, params=desk_params))
                 for v in vals
             ]
         )
         zs[f"gauss u={u}"] = abs(rn.mean() - 1.0) / (rn.std(ddof=1) / np.sqrt(m))
 
         dens = density_process_batch(
-            shift, u, vals, grid, desk_ensemble.eps, g=desk_params.g
+            shift, u, vals, desk_ensemble.eps, g=desk_params.g
         )
         mean, se = desk_ensemble.expectation(dens)
         zs[f"full u={u}"] = abs(mean - 1.0) / se
@@ -214,10 +214,10 @@ def test_criterion_07_density_continuity(desk_params, desk_cov, desk_ensemble):
     vals = desk_ensemble.values[:100]
     kwargs = dict(eps=0.02, g=desk_params.g)
     coarse = continuity_scan(
-        shift, np.linspace(0.0, 1.0, 11), vals, desk_cov.grid, **kwargs
+        shift, np.linspace(0.0, 1.0, 11), vals, **kwargs
     )
     fine = continuity_scan(
-        shift, np.linspace(0.0, 1.0, 21), vals, desk_cov.grid, **kwargs
+        shift, np.linspace(0.0, 1.0, 21), vals, **kwargs
     )
     ratio = fine.q95 / coarse.q95
     _report(
@@ -236,14 +236,12 @@ def test_criterion_08_dirichlet_form(desk_params, desk_cov, desk_ensemble):
     for _ in range(50):
         f = random_cylinder(rng, grid, desk_params.d)
         h = random_cylinder(rng, grid, desk_params.d)
-        sym_ok &= dirichlet_form(f, h, desk_ensemble, cov=desk_cov) == dirichlet_form(
-            h, f, desk_ensemble, cov=desk_cov
-        )
-        nonneg_ok &= dirichlet_form(f, f, desk_ensemble, cov=desk_cov)[0] >= 0.0
+        sym_ok &= dirichlet_form(f, h, desk_ensemble) == dirichlet_form(h, f, desk_ensemble)
+        nonneg_ok &= dirichlet_form(f, f, desk_ensemble)[0] >= 0.0
 
     free = WeightedEnsemble(
         params=replace(desk_params, g=0.0),
-        grid=grid,
+        cov=desk_cov,
         values=desk_ensemble.values,
         lc=desk_ensemble.lc,
         weights=np.ones(desk_ensemble.m),
@@ -254,7 +252,7 @@ def test_criterion_08_dirichlet_form(desk_params, desk_cov, desk_ensemble):
         weights=coordinate_functional(grid, desk_params.d, j, c)[None],
         fn=make_linear([1.0]),
     )
-    val, se = dirichlet_form(lin, lin, free, cov=desk_cov)
+    val, se = dirichlet_form(lin, lin, free)
     # |grad x_j|_CM^2 is the kernel diagonal K(t_j, t_j) = t_j^{2H}
     analytic = grid.points[j] ** (2.0 * desk_params.H)
     lin_err = abs(val - analytic)

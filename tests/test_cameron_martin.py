@@ -54,12 +54,17 @@ class TestKernel:
 
 
 class TestShiftConstruction:
-    def test_covariance_column_gives_unit_weight(self, small_params, small_cov):
-        sh = builtin_shift("covcol:5", small_params, cov=small_cov)
-        expect = np.zeros((small_params.N - 1, small_params.d))
-        expect[4, 0] = 1.0
-        assert np.allclose(sh.w, expect, atol=1e-8)
-        assert abs(sh.energy - small_cov.sigma[4, 4]) < 1e-8
+    def test_covariance_column_gives_unit_weight(self, desk_params, desk_cov):
+        # w = e_j exactly, with no solve, and k[1:] is column j of sigma
+        for j in (1, 5, 100, 255):
+            sh = builtin_shift(f"covcol:{j}", desk_params, cov=desk_cov)
+            expect = np.zeros((desk_params.N - 1, desk_params.d))
+            expect[j - 1, 0] = 1.0
+            assert np.array_equal(sh.w, expect)
+            assert np.array_equal(sh.k[1:, 0], desk_cov.sigma[:, j - 1])
+            assert np.all(sh.k[0] == 0.0) and np.all(sh.k[:, 1:] == 0.0)
+            assert sh.energy == desk_cov.sigma[j - 1, j - 1]
+            sh.check()
 
     def test_zero_target(self, small_params, small_cov):
         sh = make_shift_from_target(small_params, k=np.zeros(64), cov=small_cov)
@@ -105,7 +110,7 @@ class TestShiftConstruction:
 
     def test_weights_solve_system(self, small_params, small_cov):
         sh = builtin_shift("sine", small_params, cov=small_cov)
-        sh.check(small_cov)
+        sh.check()
 
     def test_builtin_names(self, small_params, small_cov):
         t = small_cov.grid.points
@@ -137,7 +142,7 @@ class TestShiftedPath:
         sh = builtin_shift("linear", small_params, cov=small_cov)
         sp = ShiftedPath(path, sh, 0.7)
         assert np.array_equal(sp.values, path.values + 0.7 * sh.k)
-        assert sp.grid.same_as(path.grid)
+        assert sp.grid is path.grid
 
     def test_grid_mismatch(self, small_params, small_cov):
         other = ModelParams(N=32)
@@ -157,9 +162,7 @@ class TestDensity:
         sh = builtin_shift("sine", small_params, cov=small_cov)
         x = sample_fbm(small_params, cov=small_cov, rng=stream(1, 0))
         y = sample_fbm(small_params, cov=small_cov, rng=stream(2, 0))
-        mid = SimpleNamespace(
-            grid=x.grid, values=0.5 * (x.values + y.values)
-        )
+        mid = SimpleNamespace(params=small_params, values=0.5 * (x.values + y.values))
         lx = log_gaussian_rn_density(sh, 0.8, x)
         ly = log_gaussian_rn_density(sh, 0.8, y)
         lm = log_gaussian_rn_density(sh, 0.8, mid)
@@ -171,7 +174,7 @@ class TestDensity:
         path = sample_fbm(small_params, cov=small_cov, rng=stream(7, 0))
         u, v = 0.6, -0.3
         lhs = gaussian_rn_density(sh, u + v, path)
-        moved = SimpleNamespace(grid=path.grid, values=path.values - u * sh.k)
+        moved = SimpleNamespace(params=small_params, values=path.values - u * sh.k)
         rhs = gaussian_rn_density(sh, u, path) * gaussian_rn_density(sh, v, moved)
         assert abs(lhs / rhs - 1.0) < 1e-10
 
@@ -207,7 +210,7 @@ class TestDensity:
 
     def test_overflow_raises(self, small_params, small_cov):
         sh = builtin_shift("linear", small_params, cov=small_cov)
-        big = SimpleNamespace(grid=small_cov.grid, values=100.0 * sh.k)
+        big = SimpleNamespace(params=small_params, values=100.0 * sh.k)
         # maximizing u of the log density gives (w.x)^2 / (2 E) = 5000 E
         with pytest.raises(OverflowError, match="log density"):
             gaussian_rn_density(sh, 50.0, big)

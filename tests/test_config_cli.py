@@ -465,6 +465,27 @@ class TestCliMala:
         assert f"quantize-run: config error: cannot read checkpoint {missing}" in err
         assert "No such file or directory" in err
 
+    def test_resume_from_a_partial_checkpoint_exits_1(self, outdir, capsys):
+        partial = outdir / "partial.npz"
+        np.savez(partial, z=np.zeros(31), seed=0, xr=np.zeros(2))
+        argv = ["quantize-run", "--n", "32", "--iterations", "40", "--burn-in", "0",
+                "--thin", "10", "--resume", str(partial), "--out", str(outdir)]
+        assert _run(argv) == 1
+        err = capsys.readouterr().err
+        assert (f"quantize-run: config error: {partial} is not a quantize-run checkpoint: "
+                "checkpoint lacks step, iteration") in err
+
+    def test_resume_from_a_file_that_is_not_npz_exits_1(self, outdir, capsys):
+        text = outdir / "notes.txt"
+        text.write_text("not a checkpoint\n")
+        argv = ["quantize-run", "--n", "32", "--iterations", "40", "--burn-in", "0",
+                "--thin", "10", "--resume", str(text), "--out", str(outdir)]
+        assert _run(argv) == 1
+        err = capsys.readouterr().err
+        assert (f"quantize-run: config error: {text} is not a quantize-run checkpoint: "
+                "it is not an npz archive") in err
+        assert "pickle" not in err
+
     def test_resume_accepts_a_burn_in_longer_than_the_run(self, outdir):
         # a resume skips burn-in, so --burn-in only matters on a fresh run
         out1 = outdir / "leg1"

@@ -221,14 +221,14 @@ class TestDirichletForm:
             r = np.random.default_rng(s)
             f = random_cylinder(r, small_cov.grid, 2)
             h = random_cylinder(r, small_cov.grid, 2)
-            vfh = dirichlet_form(f, h, small_ensemble, cov=small_cov)
-            vhf = dirichlet_form(h, f, small_ensemble, cov=small_cov)
+            vfh = dirichlet_form(f, h, small_ensemble)
+            vhf = dirichlet_form(h, f, small_ensemble)
             assert vfh == vhf
 
     def test_nonnegative_on_diagonal(self, small_cov, small_ensemble):
         for s in range(6):
             f = random_cylinder(np.random.default_rng(s), small_cov.grid, 2)
-            val, _ = dirichlet_form(f, f, small_ensemble, cov=small_cov)
+            val, _ = dirichlet_form(f, f, small_ensemble)
             assert val >= 0.0
 
     def test_constant_function_gives_zero(self, small_cov, small_ensemble):
@@ -237,7 +237,7 @@ class TestDirichletForm:
             fn=make_linear([0.0], 3.0),
         )
         other = random_cylinder(np.random.default_rng(1), small_cov.grid, 2)
-        val, se = dirichlet_form(const, other, small_ensemble, cov=small_cov)
+        val, se = dirichlet_form(const, other, small_ensemble)
         assert val == 0.0 and se == 0.0
 
     def test_bilinear_in_linear_arguments(self, small_cov, small_ensemble):
@@ -252,9 +252,9 @@ class TestDirichletForm:
         f1 = CylinderFunction(weights=w, fn=make_linear(a1))
         f2 = CylinderFunction(weights=w, fn=make_linear(a2))
         f12 = CylinderFunction(weights=w, fn=make_linear(a1 + a2))
-        v1, _ = dirichlet_form(f1, h, small_ensemble, cov=small_cov)
-        v2, _ = dirichlet_form(f2, h, small_ensemble, cov=small_cov)
-        v12, _ = dirichlet_form(f12, h, small_ensemble, cov=small_cov)
+        v1, _ = dirichlet_form(f1, h, small_ensemble)
+        v2, _ = dirichlet_form(f2, h, small_ensemble)
+        v12, _ = dirichlet_form(f12, h, small_ensemble)
         assert abs(v12 - (v1 + v2)) < 1e-10 * max(1.0, abs(v1 + v2))
 
     def test_linear_functional_value_is_exact(self):
@@ -269,17 +269,19 @@ class TestDirichletForm:
                     weights=coordinate_functional(cov.grid, 1, j, 0)[None],
                     fn=make_linear([1.0]),
                 )
-                val, se = dirichlet_form(fcn, fcn, ens, cov=cov)
+                val, se = dirichlet_form(fcn, fcn, ens)
                 assert abs(val - cov.grid.points[j] ** (2 * H)) < 1e-12
                 assert se < 1e-12
 
     def test_default_cov_and_grid_check(self, small_params, small_cov, small_ensemble):
+        # the form uses the ensemble's own covariance, which must fit its params
         f = random_cylinder(np.random.default_rng(3), small_cov.grid, 2)
-        own = dirichlet_form(f, f, small_ensemble)
-        assert own == dirichlet_form(f, f, small_ensemble, cov=small_cov)
+        assert small_ensemble.cov is small_cov
+        fresh = replace(small_ensemble, cov=GridCovariance(small_params))
+        assert dirichlet_form(f, f, small_ensemble) == dirichlet_form(f, f, fresh)
         other = GridCovariance(replace(small_params, T=2.0))
         with pytest.raises(ValueError, match="grid"):
-            dirichlet_form(f, f, small_ensemble, cov=other)
+            replace(small_ensemble, cov=other)
 
 
 def _reference_form(f, h, ens, cov):
@@ -306,14 +308,14 @@ def test_form_properties(H, d, n, seed):
     rng = np.random.default_rng(seed)
     f = random_cylinder(rng, cov.grid, d, n_args=int(rng.integers(1, 4)))
     h = random_cylinder(rng, cov.grid, d, n_args=int(rng.integers(1, 4)))
-    fh = dirichlet_form(f, h, ens, cov=cov)
-    assert fh == dirichlet_form(h, f, ens, cov=cov)
-    ff, _ = dirichlet_form(f, f, ens, cov=cov)
-    hh, _ = dirichlet_form(h, h, ens, cov=cov)
+    fh = dirichlet_form(f, h, ens)
+    assert fh == dirichlet_form(h, f, ens)
+    ff, _ = dirichlet_form(f, f, ens)
+    hh, _ = dirichlet_form(h, h, ens)
     assert ff >= 0.0 and hh >= 0.0
     # relative to the Cauchy-Schwarz bound sqrt(E(f, f) E(h, h)) of |E(f, h)|
     scale = np.sqrt(ff * hh)
     assert abs(fh[0] - _reference_form(f, h, ens, cov)) <= 1e-12 * scale
     assert abs(ff - _reference_form(f, f, ens, cov)) <= 1e-12 * ff
     const = CylinderFunction(weights=f.weights, fn=make_linear(np.zeros(f.n_args), 1.5))
-    assert dirichlet_form(const, h, ens, cov=cov) == (0.0, 0.0)
+    assert dirichlet_form(const, h, ens) == (0.0, 0.0)

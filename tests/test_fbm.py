@@ -7,12 +7,17 @@ import pytest
 from edwardsim import (
     GridCovariance,
     ModelParams,
+    ShiftedPath,
+    WeightedEnsemble,
     builtin_shift,
     cov_h,
+    density_process,
     dirichlet_form,
     edwards_ensemble,
+    gaussian_rn_density,
     holder_verify,
     l2_difference_silt,
+    log_gaussian_rn_density,
     make_grid,
     make_shift_from_h,
     make_shift_from_target,
@@ -159,7 +164,7 @@ class TestGridCovariance:
     def test_grid_comes_from_params(self):
         # params is the covariance's only input: a second grid is refused
         p = ModelParams(N=16, T=2.0)
-        assert GridCovariance(p).grid.same_as(make_grid(p))
+        assert np.array_equal(GridCovariance(p).grid.points, make_grid(p).points)
         with pytest.raises(TypeError):
             GridCovariance(p, make_grid(ModelParams(N=16)))
 
@@ -350,13 +355,28 @@ def _shift_file(p, tmp_path):
     return dest
 
 
+def _shift(cov):
+    return builtin_shift("linear", cov.params, cov=cov)
+
+
+def _ensemble(p, cov):
+    return WeightedEnsemble(
+        params=p,
+        cov=cov,
+        values=np.zeros((1, p.N, p.d)),
+        lc=np.zeros(1),
+        weights=np.ones(1),
+        eps=0.1,
+    )
+
+
 def _dirichlet(p, cov):
-    ens = edwards_ensemble(p, 4)
-    f = random_cylinder(stream(1, 0), ens.grid, p.d)
-    return dirichlet_form(f, f, ens, cov=cov)
+    f = random_cylinder(stream(1, 0), make_grid(p), p.d)
+    return dirichlet_form(f, f, _ensemble(p, cov))
 
 
-# every entry point that takes a `cov`, called with the model p
+# every entry point that takes a `cov`, or a shift or ensemble that carries
+# one, called with the model p and a `cov` (or a shift or ensemble built on it)
 COV_ENTRY_POINTS = {
     "sample_fbm": lambda p, cov, tmp: sample_fbm(p, cov=cov),
     "sample_fbm_batch": lambda p, cov, tmp: sample_fbm_batch(p, 2, cov=cov),
@@ -366,12 +386,19 @@ COV_ENTRY_POINTS = {
     "make_shift_from_h": lambda p, cov, tmp: make_shift_from_h(p, h=np.ones(p.N), cov=cov),
     "builtin_shift": lambda p, cov, tmp: builtin_shift("linear", p, cov=cov),
     "l2_difference_silt": lambda p, cov, tmp: l2_difference_silt(
-        p, builtin_shift("linear", p), 0.1, 0.5, 0.0, 2, cov=cov
+        p, _shift(cov), 0.1, 0.5, 0.0, 2
     ),
-    "holder_verify": lambda p, cov, tmp: holder_verify(
-        p, builtin_shift("linear", p), [0.1], [0.1, 0.2], 2, cov=cov
+    "holder_verify": lambda p, cov, tmp: holder_verify(p, _shift(cov), [0.1], [0.1, 0.2], 2),
+    "density_process": lambda p, cov, tmp: density_process(_shift(cov), 0.5, sample_fbm(p), 0.1),
+    "log_gaussian_rn_density": lambda p, cov, tmp: log_gaussian_rn_density(
+        _shift(cov), 0.5, sample_fbm(p)
     ),
+    "gaussian_rn_density": lambda p, cov, tmp: gaussian_rn_density(
+        _shift(cov), 0.5, sample_fbm(p)
+    ),
+    "ShiftedPath": lambda p, cov, tmp: ShiftedPath(sample_fbm(p), _shift(cov), 0.5),
     "edwards_ensemble": lambda p, cov, tmp: edwards_ensemble(p, 2, cov=cov),
+    "WeightedEnsemble": lambda p, cov, tmp: _ensemble(p, cov),
     "run_mala": lambda p, cov, tmp: run_mala(p, eps=0.1, n_iter=1, burn_in=0, thin=1, cov=cov),
     "read_shift_csv": lambda p, cov, tmp: read_shift_csv(_shift_file(p, tmp), p, cov=cov),
     "dirichlet_form": lambda p, cov, tmp: _dirichlet(p, cov),

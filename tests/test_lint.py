@@ -168,6 +168,30 @@ def test_no_public_function_takes_grid_and_cov():
     assert [f for p in SOURCES for f in public_functions_taking(p.read_text(), "grid", "cov")] == []
 
 
+def carriers_beside_grid_or_cov(source: str) -> list[str]:
+    """Public functions that take a shift or an ensemble, which carries its
+    covariance, together with a `grid` or a `cov`."""
+    pairs = [(a, b) for a in ("shift", "ensemble") for b in ("grid", "cov")]
+    return sorted({f for pair in pairs for f in public_functions_taking(source, *pair)})
+
+
+def test_finds_a_shift_or_ensemble_beside_grid_or_cov():
+    source = (
+        "def a(params, shift, *, cov=None):\n    pass\n\n"
+        "def b(shift, values, grid):\n    pass\n\n"
+        "def c(f, ensemble, *, cov=None):\n    pass\n\n"
+        "def _d(shift, grid):\n    pass\n\n"
+        "def e(shift, values):\n    pass\n"
+    )
+    assert carriers_beside_grid_or_cov(source) == ["a (line 1)", "b (line 4)", "c (line 7)"]
+
+
+def test_no_public_function_takes_a_shift_or_ensemble_beside_grid_or_cov():
+    # a shift or an ensemble carries its covariance; a second one beside it
+    # would be an unchecked source of the law and the grid
+    assert [f for p in SOURCES for f in carriers_beside_grid_or_cov(p.read_text())] == []
+
+
 def test_no_constructor_takes_params_and_grid():
     # params fixes the grid; a constructor taking both would hold two grids
     found = [f for p in SOURCES for f in public_functions_taking(p.read_text(), "params", "grid")]

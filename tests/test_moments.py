@@ -147,20 +147,14 @@ class TestMomentIntegral:
 class TestL2Difference:
     def test_zero_at_equal_shifts(self, small_params, small_cov):
         sh = builtin_shift("linear", small_params, cov=small_cov)
-        est, se = l2_difference_silt(
-            small_params, sh, 0.05, 0.4, 0.4, 64, cov=small_cov
-        )
+        est, se = l2_difference_silt(small_params, sh, 0.05, 0.4, 0.4, 64)
         assert est == 0.0
         assert se == 0.0
 
     def test_symmetric_in_uv(self, small_params, small_cov):
         sh = builtin_shift("linear", small_params, cov=small_cov)
-        a, _ = l2_difference_silt(
-            small_params, sh, 0.05, 0.1, 0.5, 64, cov=small_cov
-        )
-        b, _ = l2_difference_silt(
-            small_params, sh, 0.05, 0.5, 0.1, 64, cov=small_cov
-        )
+        a, _ = l2_difference_silt(small_params, sh, 0.05, 0.1, 0.5, 64)
+        b, _ = l2_difference_silt(small_params, sh, 0.05, 0.5, 0.1, 64)
         assert a == b
         assert a > 0.0
 
@@ -171,41 +165,37 @@ class TestL2Difference:
         t = small_cov.grid.points
         sh = make_shift_from_target(small_params, k=t, cov=small_cov)
         sh2 = make_shift_from_target(small_params, k=2.0 * t, cov=small_cov)
-        a, sa = l2_difference_silt(
-            small_params, sh, 0.05, 0.6, 0.0, 64, cov=small_cov
-        )
-        b, sb = l2_difference_silt(
-            small_params, sh2, 0.05, 0.3, 0.0, 64, cov=small_cov
-        )
+        a, sa = l2_difference_silt(small_params, sh, 0.05, 0.6, 0.0, 64)
+        b, sb = l2_difference_silt(small_params, sh2, 0.05, 0.3, 0.0, 64)
         assert a == b and sa == sb
 
     def test_seed_comes_from_params(self, small_params, small_cov):
-        # a covariance built at one seed serves params of another
+        # a shift built at one seed serves params of another
         sh = builtin_shift("linear", small_params, cov=small_cov)
         seed9 = replace(small_params, seed=9)
-        a = l2_difference_silt(seed9, sh, 0.05, 0.4, 0.0, 32, cov=small_cov)
-        assert a == l2_difference_silt(seed9, sh, 0.05, 0.4, 0.0, 32)
-        assert a != l2_difference_silt(small_params, sh, 0.05, 0.4, 0.0, 32, cov=small_cov)
+        a = l2_difference_silt(seed9, sh, 0.05, 0.4, 0.0, 32)
+        assert a == l2_difference_silt(seed9, builtin_shift("linear", seed9), 0.05, 0.4, 0.0, 32)
+        assert a != l2_difference_silt(small_params, sh, 0.05, 0.4, 0.0, 32)
 
     def test_rejects_single_sampled_path(self, small_params, small_cov):
         # one path has no standard error
         sh = builtin_shift("linear", small_params, cov=small_cov)
         with pytest.raises(ValueError, match="at least 2 paths"):
-            l2_difference_silt(small_params, sh, 0.05, 0.4, 0.0, 1, cov=small_cov)
+            l2_difference_silt(small_params, sh, 0.05, 0.4, 0.0, 1)
 
 
 class TestHolderVerify:
     def test_seed_comes_from_params(self, small_params, small_cov):
-        # a covariance built at one seed serves params of another
+        # a shift built at one seed serves params of another
         sh = builtin_shift("sine", small_params, cov=small_cov)
         args = ([0.1, 0.05], [0.1, 0.2, 0.4], 32)
         seed9 = replace(small_params, seed=9)
-        a = holder_verify(seed9, sh, *args, cov=small_cov)
-        b = holder_verify(seed9, sh, *args)
+        a = holder_verify(seed9, sh, *args)
+        b = holder_verify(seed9, builtin_shift("sine", seed9), *args)
         for key in ("estimates", "stderrs", "slopes", "intercepts", "slope_stderrs"):
             assert np.array_equal(getattr(a, key), getattr(b, key))
         assert not np.array_equal(
-            a.estimates, holder_verify(small_params, sh, *args, cov=small_cov).estimates
+            a.estimates, holder_verify(small_params, sh, *args).estimates
         )
 
     def test_report_structure(self, small_params, small_cov):
@@ -216,7 +206,6 @@ class TestHolderVerify:
             [0.1, 0.05],
             [0.1, 0.2, 0.4],
             64,
-            cov=small_cov,
         )
         assert rep.estimates.shape == (2, 3)
         assert rep.stderrs.shape == (2, 3)
@@ -240,7 +229,6 @@ class TestHolderVerify:
             [0.05, 0.025],
             [0.1, 0.2, 0.4],
             256,
-            cov=small_cov,
         )
         assert rep.slope > 1.0
 
@@ -248,14 +236,14 @@ class TestHolderVerify:
         sh = builtin_shift("sine", small_params, cov=small_cov)
         with pytest.raises(ValueError, match="delta"):
             holder_verify(
-                small_params, sh, [0.05], [0.1, 0.0], 16, cov=small_cov
+                small_params, sh, [0.05], [0.1, 0.0], 16
             )
 
     def test_rejects_single_path(self, small_params, small_cov):
         # one path has no standard error; the slopes would all be nan
         sh = builtin_shift("sine", small_params, cov=small_cov)
         with pytest.raises(ValueError, match="at least 2 paths"):
-            holder_verify(small_params, sh, [0.05], [0.1, 0.2], 1, cov=small_cov)
+            holder_verify(small_params, sh, [0.05], [0.1, 0.2], 1)
 
 
 class TestDensityProcess:
@@ -271,16 +259,12 @@ class TestDensityProcess:
         sh = builtin_shift("sine", small_params, cov=small_cov)
         a = density_process(sh, 0.7, path, 0.05, g=0.0)
         b = gaussian_rn_density(sh, 0.7, path)
-        # same affine form; vectorized vs scalar reduction order
-        assert abs(a - b) < 1e-13 * b
+        # one log-density formula for the path and the batch
+        assert a == b
 
     def test_overflow_raises(self, small_params, small_cov):
         sh = builtin_shift("linear", small_params, cov=small_cov)
-        big = SimpleNamespace(
-            grid=small_cov.grid,
-            values=100.0 * sh.k,
-            params=small_params,
-        )
+        big = SimpleNamespace(values=100.0 * sh.k, params=small_params)
         with pytest.raises(OverflowError, match="density_process"):
             density_process(sh, 50.0, big, 0.05)
 
@@ -294,8 +278,8 @@ class TestDensityProcess:
         u, eps = 12.0, 0.05
         raw = silt_raw_batch(np.concatenate([vals, vals - u * sh.k]), cov.grid, [eps])[:, 0]
         g = -720.0 / (raw[1] - raw[0])
-        a = density_process_batch(sh, u, vals, cov.grid, eps, g=g)[0]
-        path = SimpleNamespace(grid=cov.grid, values=vals[0])
+        a = density_process_batch(sh, u, vals, eps, g=g)[0]
+        path = SimpleNamespace(params=p, values=vals[0])
         log_weight = 720.0 + log_gaussian_rn_density(sh, u, path)
         assert 600.0 < log_weight < 700.0
         assert np.isfinite(a)
@@ -309,7 +293,7 @@ class TestDensityProcess:
         sh = builtin_shift("linear", small_params, cov=small_cov)
         for u in (0.5, 1.0):
             a = density_process_batch(
-                sh, u, ens.values, small_cov.grid, ens.eps, g=small_params.g
+                sh, u, ens.values, ens.eps, g=small_params.g
             )
             est, se = ens.expectation(a)
             assert abs(est - 1.0) <= 5.0 * se
@@ -320,7 +304,7 @@ class TestContinuityScan:
         vals = sample_fbm_batch(small_params, 20, cov=small_cov)
         sh = builtin_shift("linear", small_params, cov=small_cov)
         u_grid = np.linspace(0.0, 1.0, 6)
-        scan = continuity_scan(sh, u_grid, vals, small_cov.grid, 0.05, g=0.1)
+        scan = continuity_scan(sh, u_grid, vals, 0.05, g=0.1)
         assert scan.densities.shape == (20, 6)
         assert np.array_equal(scan.densities[:, 0], np.ones(20))
         assert scan.max_jump.shape == (20,)
@@ -346,7 +330,7 @@ class TestContinuityScan:
         vals = sample_fbm_batch(small_params, 8, cov=small_cov)
         sh = builtin_shift("linear", small_params, cov=small_cov)
         scan = continuity_scan(
-            sh, np.linspace(0.0, 60.0, 21), vals, small_cov.grid, 0.02, g=small_params.g
+            sh, np.linspace(0.0, 60.0, 21), vals, 0.02, g=small_params.g
         )
         a = scan.densities
         assert np.any((a[:, 1:] == 0.0) & (a[:, :-1] == 0.0))
@@ -368,11 +352,11 @@ class TestContinuityScan:
         vals = sample_fbm_batch(small_params, 6, cov=small_cov)
         sh = builtin_shift("sine", small_params, cov=small_cov)
         u_grid = np.linspace(0.0, 1.0, 6)
-        scan = continuity_scan(sh, u_grid, vals, small_cov.grid, 0.05, g=0.1)
+        scan = continuity_scan(sh, u_grid, vals, 0.05, g=0.1)
         assert len(families) == 1 and families[0].size == u_grid.size
         assert np.array_equal(scan.densities[:, 0], np.ones(6))
         # a grid without 0 puts the base row in front of the family
-        density_process_batch(sh, 0.5, vals, small_cov.grid, 0.05, g=0.1)
+        density_process_batch(sh, 0.5, vals, 0.05, g=0.1)
         assert families[1].tolist() == [0.0, -0.5]
 
     def test_densities_match_density_process_batch(self, small_params, small_cov):
@@ -380,15 +364,15 @@ class TestContinuityScan:
         vals = sample_fbm_batch(small_params, 12, cov=small_cov)
         sh = builtin_shift("sine", small_params, cov=small_cov)
         u_grid = np.linspace(0.0, 1.5, 5)
-        scan = continuity_scan(sh, u_grid, vals, small_cov.grid, 0.05, g=0.1)
-        each = [density_process_batch(sh, u, vals, small_cov.grid, 0.05, g=0.1) for u in u_grid]
+        scan = continuity_scan(sh, u_grid, vals, 0.05, g=0.1)
+        each = [density_process_batch(sh, u, vals, 0.05, g=0.1) for u in u_grid]
         assert np.array_equal(scan.densities, np.stack(each, axis=1))
 
     def test_needs_three_points(self, small_params, small_cov):
         vals = sample_fbm_batch(small_params, 4, cov=small_cov)
         sh = builtin_shift("linear", small_params, cov=small_cov)
         with pytest.raises(ValueError, match="3 points"):
-            continuity_scan(sh, [0.0, 1.0], vals, small_cov.grid, 0.05, g=0.1)
+            continuity_scan(sh, [0.0, 1.0], vals, 0.05, g=0.1)
 
     def test_refining_u_grid_shrinks_jumps(self):
         p = ModelParams(N=64, g=0.1, seed=31)
@@ -396,9 +380,9 @@ class TestContinuityScan:
         vals = sample_fbm_batch(p, 40, cov=cov)
         sh = builtin_shift("linear", p, cov=cov)
         coarse = continuity_scan(
-            sh, np.linspace(0.0, 1.0, 11), vals, cov.grid, 0.05, g=0.1
+            sh, np.linspace(0.0, 1.0, 11), vals, 0.05, g=0.1
         )
         fine = continuity_scan(
-            sh, np.linspace(0.0, 1.0, 21), vals, cov.grid, 0.05, g=0.1
+            sh, np.linspace(0.0, 1.0, 21), vals, 0.05, g=0.1
         )
         assert fine.q95 <= 0.7 * coarse.q95

@@ -74,10 +74,3 @@ class TestTimeGrid:
     def test_rejects_too_short(self):
         with pytest.raises(ValueError, match="two points"):
             TimeGrid(np.array([0.0]))
-
-    def test_same_as(self):
-        a = make_grid(ModelParams(N=17))
-        b = make_grid(ModelParams(N=17))
-        c = make_grid(ModelParams(N=33))
-        assert a.same_as(b)
-        assert not a.same_as(c)

@@ -147,8 +147,8 @@ def test_log_density_cocycle(p, u, v):
     k = np.vstack([np.zeros((1, p.d)), r.standard_normal((p.N - 1, p.d))])
     shift = make_shift_from_target(p, k=k, cov=cov)
     x = np.vstack([np.zeros((1, p.d)), r.standard_normal((p.N - 1, p.d))])
-    path = SimpleNamespace(values=x, grid=cov.grid)
-    moved = SimpleNamespace(values=x - v * shift.k, grid=cov.grid)
+    path = SimpleNamespace(values=x, params=p)
+    moved = SimpleNamespace(values=x - v * shift.k, params=p)
     lhs = log_gaussian_rn_density(shift, u + v, path)
     rhs = log_gaussian_rn_density(shift, u, moved) + log_gaussian_rn_density(shift, v, path)
     size = abs(u) + abs(v)
