@@ -373,7 +373,14 @@ def density_process_batch(
 def _log_densities(shift: CMShift, us, values, eps: float, g: float, threads: int):
     """(M, n_u) log density process at each u of `us`, from one shifted
     family at -us. The unshifted SILT is the family's u = 0 row when `us`
-    holds 0, and a row of its own in front otherwise."""
+    holds 0, and a row of its own in front otherwise. values must have the
+    shift's N and d."""
+    n, d = shift.grid.n, shift.k.shape[1]
+    if values.ndim != 3 or values.shape[1:] != (n, d):
+        raise ValueError(
+            f"values of shape {values.shape} do not match the shift's grid: "
+            f"need (M, N, d) = (M, {n}, {d})"
+        )
     zero = np.flatnonzero(us == 0.0)
     family = -us if zero.size else np.append(0.0, -us)
     raw = silt_raw_shifted(values, shift.grid, shift.k, family, [eps], threads=threads)[:, :, 0]

@@ -24,13 +24,20 @@ expectation
 is exposed separately; the grid expectation converges to it at rate O(T/N).
 Shifted paths are centered with the unshifted expectation: the centering
 constant never depends on the shift. The shifted family x + u k along a
-direction k is summed from the pair geometry, formed once per lag block
-for every u: |dx + u dk|^2 = a + u (b + u c), with a = |dx|^2, b = 2 dx.dk
-per path and c = |dk|^2 for all paths. A u of 0 takes a alone and gives
-the unshifted kernel's bits; a row does not depend on the other u of its
-family; a shifted row agrees with the kernel run on the paths x + u k to
-about ulp(a + u^2 c) / (2 eps) relative per pair term, which the tests
-(eps >= 1e-3, |u| <= 3) hold within 1e-12.
+direction k is summed from the pair geometry a = |dx|^2, b = 2 dx.dk per
+path and c = |dk|^2 for all paths, formed once per lag block for every u
+and scaled by the first rate r0 = -1/(2 eps0): a' = r0 a, and b' = r0 b
+with r0 taken into dk. Rate r weighs a pair by exp((r / r0)(a' + u b'))
+times exp(r u^2 c); the second factor, free of the path, multiplies the
+pair weights, so a shifted u costs four passes over a block: s = a' + u b'
+(two), exp and the weighted sum. Since a + u b >= -u^2 c, the path factor
+stays below exp(|r| u^2 max c); a block where that bound passes e^700
+adds r0 u^2 c into s instead, and keeps the pair weights. A u of 0 takes
+a' and a alone and gives the unshifted kernel's bits; a row does not
+depend on the other u of its family; a shifted row agrees with the kernel
+run on the paths x + u k to about ulp(a + u^2 c) / (2 eps) relative per
+pair term, which the tests (eps >= 1e-3, |u| <= 3, blocks past e^700
+included) hold within 1e-12.
 
 The eps ladder eps_j = eps0 * 2^{-j} tracks convergence of the centered
 values as eps -> 0. At H*d = 1 the limit exists in L^2 but the rate carries
@@ -80,6 +87,10 @@ _CHUNK_PATHS = 256
 # 65536 was fastest or level at N = 64, 128 and 256; at N = 256, blocks of
 # 2 to 8 rows ran up to 22% slower
 _BLOCK_ELEMENTS = 65_536
+# largest |rate| u^2 max|dk|^2 of a lag block whose shifted rows carry
+# exp(rate u^2 |dk|^2) in the pair weights: both factors stay normal
+# doubles, between e^-700 and e^700
+_FOLD_LIMIT = 700.0
 # relative floor below which eps no longer resolves the grid: eps >= 0.1 * spacing^{2H}
 EPS_FLOOR_FACTOR = 0.1
 
@@ -154,12 +165,19 @@ def silt_raw_shifted(
 
     k is a path (N, d), in practice a Cameron-Martin direction. Each lag
     block of silt_raw_batch forms the pair geometry once and serves every
-    u: |dx + u dk|^2 = a + u (b + u c) with a = |dx|^2, b = 2 dx.dk and
-    c = |dk|^2, where dx = x_j - x_i and dk = k_j - k_i. A u of 0 takes a
-    alone, so its row equals silt_raw_batch(values) to the bit. Every row
-    equals the call with that u alone to the bit, at any thread count, and
-    agrees with silt_raw_batch(values + u k) to about ulp(a + u^2 c) /
-    (2 eps) relative per pair term, measured within 1e-12 at eps >= 1e-3.
+    u and eps: a = |dx|^2 and, scaled by the first rate r0 = -1/(2 eps0),
+    a' = r0 a and b' = 2 dx.(r0 dk) per path, and c = |dk|^2 for all
+    paths, where dx = x_j - x_i and dk = k_j - k_i. A shifted u sums
+    exp((r / r0)(a' + u b')) with the pair weights times the path-free
+    exp(r u^2 c); where |r| u^2 max c passes 700 in a block, a' + u b'
+    takes r0 u^2 c as well and the weights stay as they are, so neither
+    factor leaves the normal doubles. A u of 0 takes a' and a alone, so
+    its row equals silt_raw_batch(values) to the bit. Every row equals the
+    call with that u alone to the bit, at any thread count, and agrees
+    with silt_raw_batch(values + u k) to about ulp(a + u^2 c) / (2 eps)
+    relative per pair term, measured within 1e-12 at eps >= 1e-3 and
+    |u| <= 3; where every term of a row falls below the smallest normal
+    double, both round at subnormal steps.
     """
     k = np.asarray(k, dtype=float)
     if k.shape != values.shape[1:]:
@@ -243,64 +261,94 @@ def _lag_block_sums(
             c[-1, half:] = 0.0
         x_pair = rows[:, m0 : m0 + r], rows[:, :1]
         k_pair = k_rows[:, m0 : m0 + r], k_rows[:, :1]
-        for i, j, e in _family_terms(x_pair, k_pair, moved, us, rates, squares, buf):
+        for i, j, e, weights in _family_terms(x_pair, k_pair, c, moved, us, rates, squares, buf):
             # einsum, not BLAS: a threaded gemv in each kernel worker
             # oversubscribes the cores
-            acc[:, i, j] += np.einsum("rip,ri->p", e, c)
+            acc[:, i, j] += np.einsum("rip,ri->p", e, weights)
     return acc
 
 
-def _family_terms(x_pair, k_pair, moved: list, us, rates, squares, buf: np.ndarray):
-    """Yield (i, j, exp(rates[j] * |dx + us[i] dk|^2)) for every u and
-    rate, with dx = ahead - behind of x_pair, (d, r, N, P) less (d, 1, N, P),
-    and dk likewise of k_pair, whose paths axis has length 1.
+def _family_terms(x_pair, k_pair, c: np.ndarray, moved: list, us, rates, squares, buf: np.ndarray):
+    """Yield (i, j, e, weights) for every u and rate, where e (r, N, P)
+    times weights (r, N) is c * exp(rates[j] * |dx + us[i] dk|^2), with dx
+    = ahead - behind of x_pair, (d, r, N, P) less (d, 1, N, P), dk likewise
+    of k_pair, whose paths axis has length 1, and c the pair weights.
 
-    The geometry is formed once for every u: a = |dx|^2 summed over the
-    components in order and, over the components named in `moved`, b =
-    2 dx.dk per path and c = |dk|^2; a u of 0, or an empty `moved`, takes
-    a alone. buf has 4 rows of at least one pair block each when `moved`
-    names components, 2 otherwise."""
+    The geometry is formed once for every u, scaled by the first rate r0:
+    a = |dx|^2 summed over the components in order, a' = r0 a and, over
+    the components named in `moved`, b' = 2 dx.(r0 dk) per path and
+    q = |dk|^2 for all paths. A u of 0, or an empty `moved`, takes the
+    rungs exp(a') and exp(rate * a), those of silt_raw_batch. A shifted u
+    takes s = a' + u b' and the rungs exp(s) and exp((rate / r0) s), and
+    moves the path-free exp(rate u^2 q) into the weights. Since a + u b >=
+    -u^2 q, the path factor stays below exp(|rate| u^2 max q); where that
+    bound passes e^_FOLD_LIMIT in the block, s = a' + u (b' + u r0 q)
+    and the weights stay c. buf has 4 rows of at least one pair block each
+    when `moved` names components, 2 otherwise."""
     (ahead, behind), (k_ahead, k_behind) = x_pair, k_pair
     shape = ahead.shape[1:]
     slots = buf[:, : math.prod(shape)].reshape(-1, *shape)
-    # dx and then the rungs, a, and for a moving k, b and the shifted argument
+    # dx and then the rungs, a, and for a moving k, b' and a'
     dx, a = slots[:2]
-    b, shifted = slots[2:] if moved else (None, None)
-    c = None
+    b, a_r = slots[2:] if moved else (None, None)
+    r0 = rates[0]
+    q = None
     for j, (hi, lo) in enumerate(zip(ahead, behind)):
         np.subtract(hi, lo, out=dx)
         if j in moved:
-            # dx enters b before it is squared in place
+            # dx enters b' before it is squared in place
             dk = k_ahead[j] - k_behind[j]
-            if c is None:
-                np.multiply(dx, 2.0 * dk, out=b)
-                c = dk * dk
+            if q is None:
+                np.multiply(dx, 2.0 * r0 * dk, out=b)
+                q = dk * dk
             else:
-                np.add(b, np.multiply(dx, 2.0 * dk, out=shifted), out=b)
-                c = c + dk * dk
+                np.add(b, np.multiply(dx, 2.0 * r0 * dk, out=a_r), out=b)
+                q = q + dk * dk
         if j == 0:
             np.multiply(dx, dx, out=a)
         else:
             np.multiply(dx, dx, out=dx)
             np.add(a, dx, out=a)
+    if moved:
+        np.multiply(a, r0, out=a_r)
+    # the unshifted rows first: their rungs take a, whose buffer s reuses
+    for i in [i for i, u in enumerate(us) if u == 0.0 or not moved]:
+        first = a_r if moved else np.multiply(a, r0, out=dx)
+        for j, rung in enumerate(_rungs(first, a, rates, squares, dx)):
+            yield i, j, rung, c
+    if not moved:
+        return
+    s, ratios = a, rates / r0
+    bound = np.max(-rates) * np.max(q)
+    weights = np.empty_like(c)
     for i, u in enumerate(us):
-        sq = a
-        if u != 0.0 and c is not None:
-            sq = np.add(b, u * c, out=shifted)
-            np.multiply(sq, u, out=sq)
-            np.add(sq, a, out=sq)
-        for j, e in enumerate(_rungs(sq, dx, rates, squares)):
-            yield i, j, e
+        if u == 0.0:
+            continue
+        folded = bound * u * u <= _FOLD_LIMIT
+        if folded:
+            np.multiply(b, u, out=s)
+        else:
+            # the path-free term joins s: a' + u (b' + u r0 q)
+            np.multiply(np.add(b, (r0 * u) * q, out=s), u, out=s)
+        np.add(s, a_r, out=s)
+        for j, rung in enumerate(_rungs(s, s, ratios, squares, dx)):
+            if folded:
+                np.exp(np.multiply(q[..., 0], rates[j] * u * u, out=weights), out=weights)
+                np.multiply(weights, c, out=weights)
+            yield i, j, rung, weights if folded else c
 
 
-def _rungs(sq: np.ndarray, e: np.ndarray, rates: np.ndarray, squares: np.ndarray):
-    """Yield exp(rate * sq) for each rate, computed in the buffer e; a rung
-    flagged in `squares` is the previous rung squared in place."""
-    for rate, square in zip(rates, squares):
+def _rungs(first: np.ndarray, later: np.ndarray, ratios, squares, e: np.ndarray):
+    """Yield exp(first) and then exp(ratio * later) for each later ratio,
+    computed in the buffer e (first may be e itself); a rung flagged in
+    `squares` is the previous rung squared in place."""
+    np.exp(first, out=e)
+    yield e
+    for ratio, square in zip(ratios[1:], squares[1:]):
         if square:
             np.multiply(e, e, out=e)
         else:
-            np.exp(np.multiply(sq, rate, out=e), out=e)
+            np.exp(np.multiply(later, ratio, out=e), out=e)
         yield e
 
 

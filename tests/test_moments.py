@@ -285,6 +285,18 @@ class TestDensityProcess:
         assert np.isfinite(a)
         assert abs(a / np.exp(log_weight) - 1.0) < 1e-10
 
+    def test_values_of_another_grid_are_named(self, small_params, small_cov):
+        # a shift at N = 64 and paths at N = 32: the error names the values'
+        # shape and the shift's N, not the shift's k
+        sh = builtin_shift("sine", small_params, cov=small_cov)
+        vals = np.zeros((3, 32, 2))
+        for run in (
+            lambda: density_process_batch(sh, 0.5, vals, 0.05, g=0.1),
+            lambda: continuity_scan(sh, [0.0, 0.5, 1.0], vals, 0.05, g=0.1),
+        ):
+            with pytest.raises(ValueError, match=r"values of shape \(3, 32, 2\).*\(M, 64, 2\)"):
+                run()
+
     def test_normalized_under_reweighted_ensemble(self, small_params, small_cov):
         # E_nu[a(u, .)] = 1 is an algebraic identity; 5 SE at MC resolution
         ens = edwards_ensemble(

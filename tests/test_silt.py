@@ -25,7 +25,7 @@ from edwardsim import (
     silt_raw_batch,
     silt_raw_shifted,
 )
-from edwardsim.silt import _assemble_ladder
+from edwardsim.silt import _FOLD_LIMIT, _assemble_ladder
 from pair_reference import pair_cache, pair_silt_and_grad
 
 
@@ -229,6 +229,10 @@ class TestSiltBatch:
             (lambda: silt_raw_batch(vals[:4], grid, eps), 32),
             (lambda: silt_raw_batch(vals, grid, eps[:1]), 24),
             (lambda: silt_raw_shifted(vals, grid, k, [0.5], eps[:1]), 24),
+            # several u at two rates that are not a dyadic ladder: the
+            # weights of each (u, rate) stay the size of a pair block
+            # without its paths axis
+            (lambda: silt_raw_shifted(vals[:4], grid, k, [0, 0.25, -0.5, 1, 2], [0.1, 0.03]), 24),
         ]
         for run, bound_mb in cases:
             tracemalloc.start()
@@ -272,6 +276,30 @@ class TestSiltShifted:
                     one = silt_raw_shifted(vals, cov.grid, k, [u], eps, threads=threads)
                     assert np.array_equal(out[:, i], one[:, 0])
                 assert np.all(np.abs(out - ref) <= 1e-12 * np.abs(ref))
+
+    def test_rows_past_the_fold_limit(self):
+        # k = t along the first component, so max |dk|^2 = 1 (the pair of
+        # the two ends); at eps 0.00625, |u| = 3 takes the bound |rate| u^2
+        # max |dk|^2 past _FOLD_LIMIT, and the lag block holding that pair
+        # adds u^2 |dk|^2 into the path argument while the others, and
+        # u = 0.5, weigh it out. 300 paths span two chunks of several
+        # blocks; the last two are -3 k and 3 k, whose rows at u = 3 and
+        # u = -3 are the constant path, where exp(rate (a + u b)) = e^720
+        # would overflow without that form
+        p = ModelParams(H=0.5, d=2, N=64, seed=21)
+        cov = GridCovariance(p)
+        k = cov.grid.points[:, None] * np.array([1.0, 0.0])
+        vals = np.concatenate([sample_fbm_batch(p, 298, cov=cov), [-3.0 * k, 3.0 * k]])
+        eps, us = 0.00625, [0.0, 0.5, -3.0, 3.0]
+        dk2 = np.sum((k[:, None] - k[None]) ** 2, axis=2)
+        assert 0.5 / eps * 9.0 * dk2.max() > _FOLD_LIMIT
+        out = silt_raw_shifted(vals, cov.grid, k, us, [eps])
+        assert np.all(np.isfinite(out))
+        assert np.array_equal(out[:, 0], silt_raw_batch(vals, cov.grid, [eps]))
+        for i, u in enumerate(us):
+            ref = silt_raw_batch(vals + u * k, cov.grid, [eps])
+            assert np.all(np.abs(out[:, i] - ref) <= 1e-12 * np.abs(ref))
+            assert np.array_equal(out[:, i], silt_raw_shifted(vals, cov.grid, k, [u], [eps])[:, 0])
 
     def test_rejects_misshaped_direction(self, small_cov):
         vals = np.zeros((3, 64, 2))
