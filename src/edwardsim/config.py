@@ -13,6 +13,7 @@ change the run semantics without a trace.
 import configparser
 import hashlib
 import io
+import math
 import warnings
 from dataclasses import dataclass, fields
 
@@ -60,6 +61,12 @@ class RunConfig:
 
     def validate(self) -> None:
         """Reject out-of-range values; warn off the critical line H*d = 1."""
+        # NaN passes every `x <= 0` test below and inf runs on to NaN outputs
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not all(math.isfinite(v) for v in (value if isinstance(value, tuple) else (value,))):
+                section, key = _KEYS[name]
+                raise ConfigError(f"{name} ([{section}] {key}) must be finite, got {value!r}")
         params = self.model_params()
         if self.paths < 1:
             raise ConfigError(f"paths must be positive, got {self.paths}")
@@ -119,6 +126,8 @@ _KEYS = {
 }
 # RunConfig field -> parser of its INI value or flag
 _PARSERS = {f.name: _float_list if f.type is tuple else f.type for f in fields(RunConfig)}
+# RunConfig fields of a float or a float list
+_FLOAT_FIELDS = tuple(f.name for f in fields(RunConfig) if f.type in (float, tuple))
 
 
 def _read_ini(text: str, cfg: RunConfig) -> RunConfig:

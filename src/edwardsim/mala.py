@@ -16,19 +16,20 @@ draws from its own stream keyed by (seed, step), so the chain has no
 generator state to save and an interrupted run concatenates bit-identically.
 
 L_eps and its gradient come from one dense Gram form on the path centered
-over its nodes, K_ij = exp(-(|x_i|^2 + |x_j|^2 - 2 x_i . x_j) / (2 eps))
-with K_ii = 0, and the trapezoid node weights w = (1/2, 1, ..., 1, 1/2):
+over its nodes, K_ij = exp(-|x_i - x_j|^2 / (2 eps)) with K_ii = 0, and the
+trapezoid node weights w = (1/2, 1, ..., 1, 1/2):
 
     L_eps = (scale / 2) w^T K w,
-    grad_i L_eps = (scale / eps) w_i [(K (w x))_i - (K w)_i x_i],
+    grad_i L_eps = (scale / eps) w_i [(K (w x))_i - (K w)_i x_i]
+                 = (scale / sqrt(eps)) w_i [(K (w y))_i - (K w)_i y_i],
 
-with scale = spacing^2 (2 pi eps)^{-d/2}. Per iteration, d + 2 N x N passes
-(four at d = 2), all in one reused buffer: the rank-two BLAS product
-rate [|x|^2, 1] [1, |x|^2]^T writes K (rate = -1 / (2 eps)), one rank-one
-product -2 rate x_c x_c^T per component accumulates into it, and exp runs in
-place; then one product of K with [w, w x]. Every entry of the products is
-a single rounding of a commutative expression, and each accumulation adds
-it to an entry that is already symmetric, so K is bit-symmetric.
+with scale = spacing^2 (2 pi eps)^{-d/2}. Per iteration, one einsum over the
+d + 2 rows of u = [m, 1, y] and v = [1, m, y] writes the exponent
+K_ij = m_i + m_j + y_i . y_j into one reused N x N buffer, where
+y = x_c / sqrt(eps) is the centered path and m = -|y|^2 / 2; exp runs in
+place; then one product of K with [w, w y]. The einsum adds the rows in
+order, norm rows first, so K_ij and K_ji take the same terms in the same
+order and K is bit-symmetric.
 """
 
 from __future__ import annotations
@@ -74,51 +75,54 @@ class _Target:
     def __init__(self, params: ModelParams, cov: GridCovariance, eps: float):
         if eps <= 0.0:
             raise ValueError("eps must be positive")
-        from scipy.linalg.blas import dgemm
-        self._dgemm = dgemm
         self.params = params
         self.cov = cov
         self.eps = float(eps)
+        self._inv_root_eps = 1.0 / np.sqrt(self.eps)
         grid = cov.grid
         self.w = _node_weights(grid.n)
         self.scale = grid.spacing**2 * (2.0 * np.pi * self.eps) ** (-0.5 * params.d)
         # N x N buffer reused by every call: a fresh one crosses glibc's
         # default mmap and trim thresholds and is faulted in again each iteration
         self._k = np.empty((grid.n, grid.n))
-        # columns |x_i|^2 and 1: the two factors of the norm sum
-        self._norms = np.ones((grid.n, 2))
-        # right-hand side [w, w x] of the gradient's product with K, and the product
+        # rows of the einsum's operands u = [m, 1, y] and v = [1, m, y]; the
+        # rows of ones are written here once
+        self._u = np.ones((params.d + 2, grid.n))
+        self._v = np.ones((params.d + 2, grid.n))
+        # right-hand side [w, w y] of the gradient's product with K, and the product
         self._rhs = np.empty((grid.n, params.d + 1))
         self._rhs[:, 0] = self.w
         self._kb = np.empty((grid.n, params.d + 1))
 
     def _kernel(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pair kernel K_ij = exp(-|x_i - x_j|^2 / 2 eps) of one path with a
-        zero diagonal, and the path centered over the nodes.
+        zero diagonal, and the scaled path y = x_c / sqrt(eps), centered over
+        the nodes, as rows of shape (d, N).
 
-        Centering keeps |x_i|^2 + |x_j|^2 - 2 x_i . x_j from cancelling
-        against an offset. With rate = -1 / (2 eps) in the BLAS alphas, the
-        rank-two product rate [|x|^2, 1] [1, |x|^2]^T writes K and one
-        rank-one product -2 rate x_c x_c^T per component accumulates into it
-        (beta = 1); then exp runs in place. K is bit-symmetric by
-        construction: each norm sum is one rounding of the commutative
-        |x_i|^2 + |x_j|^2, each entry of a rank-one product one rounded
-        x_ic x_jc, and each update alpha p + C_ij lands on a C that is
-        already symmetric. A single product x (-2 x)^T is not symmetric.
-        The next call overwrites K."""
-        x = x - x.mean(axis=0)
-        k, norms, dgemm = self._k, self._norms, self._dgemm
-        rate = -0.5 / self.eps
-        np.einsum("ij,ij->i", x, x, out=norms[:, 0])
-        # symmetric results, so the C-ordered buffer is written through its
-        # Fortran-ordered transpose
-        dgemm(rate, norms, norms[:, ::-1], trans_b=1, c=k.T, overwrite_c=1)
-        for comp in range(x.shape[1]):
-            col = x[:, comp : comp + 1]
-            dgemm(-2.0 * rate, col, col, beta=1.0, trans_b=1, c=k.T, overwrite_c=1)
+        Centering keeps m_i + m_j + y_i . y_j from cancelling against an
+        offset. The exponent is one einsum sum_c u_ci v_cj over the rows of
+        u = [m, 1, y] and v = [1, m, y], with m = -|y|^2 / 2; then exp runs
+        in place. K is bit-symmetric by construction: einsum adds the rows
+        in order, so K_ij starts from the commutative m_i + m_j and adds the
+        same rounded products y_ic y_jc as K_ji, in the same order. With the
+        norm rows last, or in a BLAS product whose edge tiles round
+        otherwise, K_ij and K_ji can differ. The next call overwrites K and
+        y."""
+        k, u, v = self._k, self._u, self._v
+        y = u[2:]
+        # centered before it is scaled: scaling a far-offset path first rounds
+        # its large entries, which the centering then exposes
+        y[...] = x.T
+        y -= y.sum(axis=1, keepdims=True) / y.shape[1]
+        y *= self._inv_root_eps
+        np.einsum("ci,ci->i", y, y, out=u[0])
+        u[0] *= -0.5
+        v[1] = u[0]
+        v[2:] = y
+        np.einsum("ci,cj->ij", u, v, out=k)
         np.exp(k, out=k)
         np.fill_diagonal(k, 0.0)
-        return k, x
+        return k, y
 
     def raw(self, x: np.ndarray) -> float:
         """SILT of the full path: (scale / 2) w^T K w."""
@@ -127,15 +131,15 @@ class _Target:
 
     def raw_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """SILT of the full path and its gradient in the free coordinates
-        x[1:]; one product of K with [w, w x] feeds both."""
-        k, x = self._kernel(x)
+        x[1:]; one product of K with [w, w y] feeds both, y = x_c / sqrt(eps)."""
+        k, y = self._kernel(x)
         w, rhs, kb = self.w, self._rhs, self._kb
-        np.multiply(w[:, None], x, out=rhs[:, 1:])
+        np.multiply(w[:, None], y.T, out=rhs[:, 1:])
         np.matmul(k, rhs, out=kb)
         kw = kb[:, 0]
         # a fresh array: the chain keeps the current state's gradient while
         # the next call overwrites the buffers
-        grad = (self.scale / self.eps) * w[:, None] * (kb[:, 1:] - kw[:, None] * x)
+        grad = (self.scale * self._inv_root_eps) * w[:, None] * (kb[:, 1:] - kw[:, None] * y.T)
         return 0.5 * self.scale * float(w @ kw), grad[1:]
 
 

@@ -23,7 +23,7 @@ from edwardsim import (
     sokal_iat,
 )
 from edwardsim.cli import _COMMANDS, _build_parser, _effective_config, main
-from edwardsim.config import _SECTIONS
+from edwardsim.config import _KEYS, _SECTIONS
 from edwardsim.mala import IAT_MIN
 
 
@@ -517,6 +517,20 @@ class TestCliFailures:
 
     def test_invalid_value_exits_1(self, outdir):
         assert _run(["silt", "--n", "1", "--out", str(outdir / "x")]) == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "field",
+        ["eps0", "holder_epsilons", "delta_min", "delta_max", "density_eps", "u_max", "step",
+         "mala_eps", "H", "T", "g"],
+    )
+    def test_non_finite_floats_exit_1_naming_the_field(self, outdir, capsys, field, value):
+        # NaN passes an `x <= 0` range check, and inf runs on to NaN outputs
+        section, key = _KEYS[field]
+        ini = outdir / "bad.ini"
+        ini.write_text(f"[{section}]\n{key} = {value}\n")
+        assert _run(["sample-fbm", "--config", str(ini), "--out", str(outdir)]) == 1
+        assert f"{field} ([{section}] {key}) must be finite" in capsys.readouterr().err
 
     def test_numeric_failure_exits_2(self, outdir, capsys):
         argv = [

@@ -1,13 +1,13 @@
 """The import contract: a run loads only the scipy submodules it calls.
 
 scipy.integrate and scipy.special serve only the continuum quadrature
-references, which no CLI subcommand calls; scipy.linalg serves only the
-MALA target, so `quantize-run` is the one subcommand that loads it. The
-covariance factor and solve use numpy's LAPACK, so a run that builds them
-maps numpy's OpenBLAS and no second one. The manifest's environment block
-is written by every run below, so it too is held to the contract. Every
-check runs in a fresh interpreter, since this session has long since
-imported everything.
+references, which no CLI subcommand calls, and no module imports
+scipy.linalg: the covariance factor and solve use numpy's LAPACK and the
+MALA target's Gram kernel is one numpy einsum. So no subcommand loads a
+scipy submodule, and every run, `quantize-run` included, maps numpy's
+OpenBLAS and no second one. The manifest's environment block is written by
+every run below, so it too is held to the contract. Every check runs in a
+fresh interpreter, since this session has long since imported everything.
 """
 
 import json
@@ -110,18 +110,24 @@ def test_non_chain_subcommands_load_no_scipy_submodule(non_chain_then_chain):
     assert not {"scipy.linalg", "scipy.integrate", "scipy.special"} & non_chain_then_chain[0]["scipy"]
 
 
-def test_non_chain_subcommands_map_one_openblas(non_chain_then_chain):
-    count = non_chain_then_chain[0]["openblas"]
-    if count is None:
+def assert_one_openblas(group: dict) -> None:
+    if group["openblas"] is None:
         pytest.skip("no /proc/self/maps to count mapped libraries")
-    assert count == 1
+    assert group["openblas"] == 1
+
+
+def test_non_chain_subcommands_map_one_openblas(non_chain_then_chain):
+    assert_one_openblas(non_chain_then_chain[0])
+
+
+def test_chain_maps_one_openblas(non_chain_then_chain):
+    # the MALA target's kernel and gradient product run on numpy alone
+    assert_one_openblas(non_chain_then_chain[1])
 
 
 def test_subcommands_load_no_quadrature_stack(non_chain_then_chain):
-    loaded = non_chain_then_chain[1]["scipy"]
-    assert "scipy.linalg" in loaded  # the MALA target's dgemm, only
-    assert "scipy.integrate" not in loaded
-    assert "scipy.special" not in loaded
+    # quantize-run, after the other five, loads no scipy submodule either
+    assert not {"scipy.linalg", "scipy.integrate", "scipy.special"} & non_chain_then_chain[1]["scipy"]
 
 
 def test_circulant_grid_runs_load_no_scipy_submodule(tmp_path):

@@ -83,15 +83,17 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
 
 
 def imports_package(source: str, package: str) -> bool:
-    """Whether the source imports `package` or any of its submodules."""
+    """Whether the source imports `package` or any of its submodules; a
+    dotted `package` matches itself and its own submodules."""
+    depth = package.count(".") + 1
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any(name.split(".")[0] == package for name in names):
+        if any(".".join(name.split(".")[:depth]) == package for name in names):
             return True
     return False
 
@@ -148,12 +150,22 @@ def test_finds_package_imports():
     assert imports_package("from concurrent.futures import ThreadPoolExecutor\n", "concurrent")
     assert imports_package("import concurrent.futures as cf\n", "concurrent")
     assert not imports_package("from .concurrent import x\nimport threading\n", "concurrent")
+    assert imports_package("from scipy.linalg.blas import dgemm\n", "scipy.linalg")
+    assert imports_package("def f():\n    import scipy.linalg as sl\n", "scipy.linalg")
+    assert imports_package("from scipy import linalg\n", "scipy.linalg")
+    assert not imports_package("import scipy.special\nfrom scipy import integrate\n", "scipy.linalg")
 
 
 def test_only_silt_imports_a_thread_pool():
     # the SILT kernel's chunk pool is the package's only thread pool
     importers = [p.name for p in SOURCES if imports_package(p.read_text(), "concurrent")]
     assert importers == ["silt.py"]
+
+
+def test_no_module_imports_scipy_linalg():
+    # numpy's LAPACK factors and solves, and the chain's kernel is a numpy
+    # einsum: scipy.linalg would map a second OpenBLAS into every chain
+    assert [p.name for p in SOURCES if imports_package(p.read_text(), "scipy.linalg")] == []
 
 
 def test_finds_a_function_taking_grid_and_cov():

@@ -230,19 +230,24 @@ class TestGramKernel:
     @pytest.mark.parametrize(
         "n, d",
         [(3, 1), (64, 2), (255, 3), (256, 2), (257, 2), (1024, 2), (256, 1)]
-        # sizes off the BLAS tile widths, where an edge tile could round the
-        # beta = 1 update alpha p + C_ij differently from its mirror
-        + [(n, d) for n in (5, 13, 127, 129, 383, 513) for d in (1, 2, 3)],
+        # sizes off the BLAS tile widths, where a BLAS product's edge tiles
+        # round an entry and its mirror differently
+        + [(n, d) for n in (5, 13, 127, 129, 383, 513) for d in (1, 2, 3)]
+        + [(n, d) for n in (1000, 1023, 1025) for d in (1, 2, 3, 4)]
+        + [(n, 4) for n in (3, 64, 129, 256, 513)],
     )
     def test_kernel_is_bit_symmetric(self, n, d):
+        # the einsum must add K_ij's and K_ji's terms in one order, norm rows
+        # first; at eps = 1e-4 the norms |y|^2 run into the thousands
         p = ModelParams(H=0.5, d=d, N=n, g=0.1, seed=1)
         cov = GridCovariance(p)
-        target = _Target(p, cov, 0.05)
         x = _full(_random_free_coords(cov, np.random.default_rng(n)))
-        for offset in (0.0, 1e3):
-            k, _ = target._kernel(x + offset)
-            assert np.array_equal(k, k.T)
-            assert np.all(np.diag(k) == 0.0)
+        for eps in (0.05, 1e-4):
+            target = _Target(p, cov, eps)
+            for offset in (0.0, 1e3):
+                k, _ = target._kernel(x + offset)
+                assert np.array_equal(k, k.T)
+                assert np.all(np.diag(k) == 0.0)
 
 
 class TestRunMala:
