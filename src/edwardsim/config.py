@@ -18,6 +18,7 @@ import warnings
 from dataclasses import dataclass, fields
 
 from .params import ModelParams
+from .silt import _check_eps
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "dump_config", "config_hash"]
 
@@ -72,18 +73,20 @@ class RunConfig:
             raise ConfigError(f"paths must be positive, got {self.paths}")
         if self.threads < 1:
             raise ConfigError(f"threads must be positive, got {self.threads}")
-        if self.eps0 <= 0.0:
-            raise ConfigError(f"eps0 must be positive, got {self.eps0}")
+        # the library's eps check, as a ConfigError naming the field's key
+        epsilons = [(name, getattr(self, name)) for name in ("eps0", "density_eps", "mala_eps")]
+        for name, value in epsilons + [("holder_epsilons", e) for e in self.holder_epsilons]:
+            try:
+                _check_eps(value, name)
+            except ValueError as exc:
+                section, key = _KEYS[name]
+                raise ConfigError(f"{exc} ([{section}] {key})") from exc
         if self.levels < 4:
             raise ConfigError(f"levels must be at least 4, got {self.levels}")
-        if not all(e > 0.0 for e in self.holder_epsilons):
-            raise ConfigError("holder epsilons must be positive")
         if not 0.0 < self.delta_min < self.delta_max:
             raise ConfigError("need 0 < delta_min < delta_max")
         if self.n_deltas < 2:
             raise ConfigError(f"n_deltas must be at least 2, got {self.n_deltas}")
-        if self.density_eps <= 0.0 or self.mala_eps <= 0.0:
-            raise ConfigError("regularization eps must be positive")
         if self.n_u < 3:
             raise ConfigError(f"n_u must be at least 3, got {self.n_u}")
         if self.step <= 0.0:

@@ -42,7 +42,7 @@ import numpy as np
 from .fbm import GridCovariance, _covariance_for
 from .params import ModelParams, TimeGrid
 from .rng import Keys
-from .silt import _node_weights, silt_expectation_grid
+from .silt import _check_eps, _node_weights, silt_expectation_grid
 
 __all__ = [
     "MalaResult",
@@ -73,11 +73,9 @@ class _Target:
     """Cached geometry for log pi and its Sigma-preconditioned gradient."""
 
     def __init__(self, params: ModelParams, cov: GridCovariance, eps: float):
-        if eps <= 0.0:
-            raise ValueError("eps must be positive")
+        self.eps = _check_eps(eps)
         self.params = params
         self.cov = cov
-        self.eps = float(eps)
         self._inv_root_eps = 1.0 / np.sqrt(self.eps)
         grid = cov.grid
         self.w = _node_weights(grid.n)

@@ -23,21 +23,24 @@ expectation
 
 is exposed separately; the grid expectation converges to it at rate O(T/N).
 Shifted paths are centered with the unshifted expectation: the centering
-constant never depends on the shift. The shifted family x + u k along a
-direction k is summed from the pair geometry a = |dx|^2, b = 2 dx.dk per
-path and c = |dk|^2 for all paths, formed once per lag block for every u
-and scaled by the first rate r0 = -1/(2 eps0): a' = r0 a, and b' = r0 b
-with r0 taken into dk. Rate r weighs a pair by exp((r / r0)(a' + u b'))
-times exp(r u^2 c); the second factor, free of the path, multiplies the
-pair weights, so a shifted u costs four passes over a block: s = a' + u b'
-(two), exp and the weighted sum. Since a + u b >= -u^2 c, the path factor
-stays below exp(|r| u^2 max c); a block where that bound passes e^700
-adds r0 u^2 c into s instead, and keeps the pair weights. A u of 0 takes
-a' and a alone and gives the unshifted kernel's bits; a row does not
-depend on the other u of its family; a shifted row agrees with the kernel
-run on the paths x + u k to about ulp(a + u^2 c) / (2 eps) relative per
-pair term, which the tests (eps >= 1e-3, |u| <= 3, blocks past e^700
-included) hold within 1e-12.
+constant never depends on the shift.
+
+The pair sum has two forms. The Gram form runs first: each path is
+centered over its nodes and scaled, y = (x - mean x) / sqrt(eps0), so
+that with m = -|y|^2 / 2 the exponent -|x_i - x_j|^2 / (2 eps0) is
+m_i + m_j + y_i . y_j, one rank-(d + 2) BLAS product per block of 32 x 32
+nodes. Its rounding grows like gamma |y|^2 where the difference form's
+does not, gamma = (2d + 12) 2^-53 counting the roundings of the scale,
+the path, the norms and the product (Higham 2002, sect. 3.1), so every
+row carries a certificate: gamma (r / r0) sum c e (|y_i| + |y_j|)^2 /
+(2 sum c e) bounds its relative error, from one more product of each
+kernel block with the columns [w, w |y|, w |y|^2]. A row whose bound is
+above 5e-13, or not finite (every term underflowed, or the path is not
+finite), is summed again by the difference form: the lag kernel, which
+forms |dx|^2 component by component over circular lag rows. A shifted
+row x + u k is the same computation on the paths x + u k, formed as a
+caller of silt_raw_batch forms them, so it equals silt_raw_batch(x + u k)
+to the bit; the u = 0 row is silt_raw_batch(x) itself.
 
 The eps ladder eps_j = eps0 * 2^{-j} tracks convergence of the centered
 values as eps -> 0. At H*d = 1 the limit exists in L^2 but the rate carries
@@ -45,8 +48,10 @@ no proven constant, so the ladder reports successive-difference ratios and
 flags non-convergence instead of asserting a rate. Only the quadrature
 silt_expectation imports scipy (scipy.integrate), when it is called.
 
-The kernel takes its paths in fixed chunks and, given `threads` > 1, runs
-the chunks on a thread pool, the package's only one; every result is the
+The kernels take their paths in fixed chunks and, given `threads` > 1, run
+the chunks on a thread pool, the package's only one. The Gram form
+computes each path in its own products and the lag kernel sums the
+failed rows of one chunk and one u together, so every result is the
 same at any thread count.
 """
 
@@ -81,18 +86,33 @@ __all__ = [
 _CHUNK_PATHS = 256
 # pair elements per lag block (rows x N x paths). A block holds at least
 # one lag row of the chunk, N x P elements: at N = P = 256 that row is
-# 65536 elements, and the block is that one row. A worker holds two block
-# buffers for an unshifted call, four (2 MB) for a shifted one. Timed from
-# 16384 to 524288 with 256 paths, d = 2, one thread (x86-64, 2 cores):
-# 65536 was fastest or level at N = 64, 128 and 256; at N = 256, blocks of
-# 2 to 8 rows ran up to 22% slower
+# 65536 elements, and the block is that one row. Timed from 16384 to
+# 524288 with 256 paths, d = 2, one thread (x86-64, 2 cores): 65536 was
+# fastest or level at N = 64, 128 and 256; at N = 256, blocks of 2 to 8
+# rows ran up to 22% slower
 _BLOCK_ELEMENTS = 65_536
-# largest |rate| u^2 max|dk|^2 of a lag block whose shifted rows carry
-# exp(rate u^2 |dk|^2) in the pair weights: both factors stay normal
-# doubles, between e^-700 and e^700
-_FOLD_LIMIT = 700.0
+# nodes per side of a Gram node block, and the pair elements of one block
+# over a path sub-batch, which also bounds its path-nodes (paths x N).
+# 1000 paths at N = 256, d = 2, one eps, one thread (same machine): 32 x
+# 32 blocks of 32 paths took 56 ms, of 64 paths 64 ms, of 16 paths 69 ms;
+# 64 x 64 blocks of 16 paths took 67 ms, 16 x 16 blocks of 128 paths 76 ms
+_NODE_BLOCK = 32
+_GRAM_ELEMENTS = 32_768
+# largest certified relative error of a Gram row; a row above it, or with
+# a bound that is not finite, is summed by the lag kernel instead
+_GRAM_RTOL = 5e-13
 # relative floor below which eps no longer resolves the grid: eps >= 0.1 * spacing^{2H}
 EPS_FLOOR_FACTOR = 0.1
+
+
+def _check_eps(eps, name: str = "eps") -> float:
+    """eps as a float; a ValueError naming it and its value unless it is
+    finite and positive. NaN fails every comparison, so `eps <= 0` alone
+    would let it through."""
+    value = float(eps)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
 
 
 def heat_kernel(eps: float, x):
@@ -101,8 +121,7 @@ def heat_kernel(eps: float, x):
     x may be a scalar (d = 1) or an array whose last axis is the spatial
     dimension; leading axes broadcast.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    eps = _check_eps(eps)
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         x = x[None]
@@ -139,21 +158,24 @@ def silt_raw_batch(
     """Raw SILT for a batch: values (M, N, d) -> (M, n_eps).
 
     Paths go in fixed chunks of 256, so the chunking, and with it every
-    result, does not depend on the thread count. Within a chunk the pairs
-    are visited by lag, in blocks laid out (B, N, paths) with the paths
-    innermost. Row m of a block is circular: x[(i + m) mod N] - x[i] for
-    every i, which are the pairs of lag m and of lag N - m, so rows
-    1..N/2 hold every pair once with no padding; the lag-N/2 row of an
-    even N holds its pairs twice and weighs the second half 0. The chunk
-    is stored (d, 2N, paths), written twice along the nodes, so the
-    leading term of row m is one contiguous (N, paths) slice and every
-    pass over a block is one loop per row. Each row is summed once with
-    its trapezoid pair weights, w_i w_((i+m) mod N) at node i, so the ends
-    need no second pass. B keeps a block near _BLOCK_ELEMENTS and at least
-    one row. When -1/(2 eps) doubles from one eps to the next, as down a
-    dyadic ladder, that rung is the previous one squared in place, so a
-    ladder costs one exp per pair. Memory is the chunk written twice and
-    two block buffers, O(M N d) in all.
+    result, does not depend on the thread count. Within a chunk the
+    paths go in sub-batches sized by an element budget, and the pairs in
+    blocks of 32 x 32 nodes, I <= J. Each path is centered over its nodes
+    and scaled by 1/sqrt(eps0), y = (x - mean x) / sqrt(eps0), and one
+    stacked matmul of the rows [m, 1, y] and [1, m, y], m = -|y|^2 / 2,
+    writes the block's exponent -|x_i - x_j|^2 / (2 eps0); exp runs in
+    place, a diagonal block gets a zero diagonal and half weight, and one
+    product with the columns [w, w |y|, w |y|^2] gives the trapezoid sum
+    and the row's certificate, gamma sum c e (|y_i| + |y_j|)^2 / (2 sum c
+    e) with gamma = (2d + 12) 2^-53, which bounds the relative error the
+    exponent's rounding leaves. When -1/(2 eps) doubles from one eps to
+    the next, as down a dyadic ladder, that rung is the previous one
+    squared in place, so a ladder costs one exp per pair; a later rung
+    scales the certificate by its rate over the first. A row whose bound
+    passes 5e-13 on some rung, or is not finite, is summed again by the
+    lag kernel, which visits the circular lag rows of the chunk's failed
+    paths in blocks laid out (rows, N, paths). Memory is O(M N d) plus a
+    few blocks of 32768 elements per worker.
     """
     return _raw_family(values, grid, np.zeros(values.shape[1:]), [0.0], epsilons, threads)[:, 0]
 
@@ -163,21 +185,15 @@ def silt_raw_shifted(
 ) -> np.ndarray:
     """Raw SILT of the shifted family values + u k: (M, N, d) -> (M, n_u, n_eps).
 
-    k is a path (N, d), in practice a Cameron-Martin direction. Each lag
-    block of silt_raw_batch forms the pair geometry once and serves every
-    u and eps: a = |dx|^2 and, scaled by the first rate r0 = -1/(2 eps0),
-    a' = r0 a and b' = 2 dx.(r0 dk) per path, and c = |dk|^2 for all
-    paths, where dx = x_j - x_i and dk = k_j - k_i. A shifted u sums
-    exp((r / r0)(a' + u b')) with the pair weights times the path-free
-    exp(r u^2 c); where |r| u^2 max c passes 700 in a block, a' + u b'
-    takes r0 u^2 c as well and the weights stay as they are, so neither
-    factor leaves the normal doubles. A u of 0 takes a' and a alone, so
-    its row equals silt_raw_batch(values) to the bit. Every row equals the
-    call with that u alone to the bit, at any thread count, and agrees
-    with silt_raw_batch(values + u k) to about ulp(a + u^2 c) / (2 eps)
-    relative per pair term, measured within 1e-12 at eps >= 1e-3 and
-    |u| <= 3; where every term of a row falls below the smallest normal
-    double, both round at subnormal steps.
+    k is a path (N, d), in practice a Cameron-Martin direction. Each u
+    runs silt_raw_batch's kernel on the paths values + u k, formed in the
+    kernel's sub-batches as the caller of silt_raw_batch would form them:
+    the Gram form on their centered, scaled nodes, y + u kappa with
+    kappa = (k - mean k) / sqrt(eps0) up to rounding, certified row by
+    row, and the lag kernel on x + u k for the rows whose bound passes
+    5e-13. So every row equals silt_raw_batch(values + u k) to the
+    bit, the u = 0 row is silt_raw_batch(values) itself, and a row does
+    not depend on the other u of its family or on the thread count.
     """
     k = np.asarray(k, dtype=float)
     if k.shape != values.shape[1:]:
@@ -190,24 +206,33 @@ def _raw_family(
 ) -> np.ndarray:
     """(M, n_u, n_eps) raw SILT of values + u k for each u of us."""
     us = np.atleast_1d(np.asarray(us, dtype=float))
-    epsilons = np.atleast_1d(np.asarray(epsilons, dtype=float))
-    if np.any(epsilons <= 0.0):
-        raise ValueError("all eps values must be positive")
+    epsilons = np.array([_check_eps(e) for e in np.atleast_1d(epsilons)])
     m, n, d = values.shape
     if n != grid.n:
         raise ValueError("values and grid disagree on N")
     rates = -0.5 / epsilons
     squares = np.concatenate([[False], rates[1:] == 2.0 * rates[:-1]])
     factor = grid.spacing**2 * (2.0 * np.pi * epsilons) ** (-0.5 * d)
-    # components along which k moves the pairs; b and c sum only these
-    moved = [j for j in range(d) if np.any(us) and np.any(k[:, j] != k[0, j])]
     out = np.empty((m, us.size, epsilons.size))
 
     def work(lo: int, hi: int) -> None:
-        out[lo:hi] = _lag_block_sums(values[lo:hi], k, moved, us, rates, squares) * factor
+        x = values[lo:hi]
+        for i, u in enumerate(us):
+            sums, bounds = _gram_sums(x, k, u, rates, squares)
+            # a NaN bound fails the test too, so it never keeps a Gram row
+            redo = ~np.all(bounds <= _GRAM_RTOL, axis=1)
+            if np.any(redo):
+                sums[redo] = _lag_block_sums(_shifted(x[redo], k, u), rates, squares)
+            out[lo:hi, i] = sums * factor
 
     _map_chunks(m, work, threads)
     return out
+
+
+def _shifted(x: np.ndarray, k: np.ndarray, u: float) -> np.ndarray:
+    """The paths x + u k, as the caller of silt_raw_batch would form them;
+    x itself at u = 0."""
+    return x if u == 0.0 else x + u * k
 
 
 def _map_chunks(m: int, fn, threads: int) -> None:
@@ -224,118 +249,153 @@ def _map_chunks(m: int, fn, threads: int) -> None:
             future.result()
 
 
-def _lag_block_sums(
-    x: np.ndarray, k: np.ndarray, moved: list, us: np.ndarray, rates: np.ndarray, squares: np.ndarray
+def _gram_sums(
+    x: np.ndarray, k: np.ndarray, u: float, rates: np.ndarray, squares: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid sums of exp(rate * |dx|^2) over i < j for the paths
+    x + u k, x (P, N, d), and a bound on the relative error of each, both
+    (P, n_rates), from the Gram form of the pair exponent.
+
+    Each path is centered over its nodes and scaled, y = (x - mean) /
+    sqrt(eps0) with eps0 = -1 / (2 rates[0]), so that with m = -|y|^2 / 2
+
+        rates[0] |x_i - x_j|^2 = m_i + m_j + y_i . y_j,
+
+    one rank-(d + 2) product of the rows u = [m, 1, y] and v = [1, m, y].
+    The paths go in sub-batches of at most _GRAM_ELEMENTS // N paths and
+    _GRAM_ELEMENTS pair elements per node block (_gram_block_sums).
+
+    Rounding the exponent costs at most gamma (|y_i| + |y_j|)^2 / 2 per
+    pair, gamma a dot-product error constant (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, sect. 3.1), so the sum is off
+    by at most gamma (r / r0) sum c e (|y_i| + |y_j|)^2 / (2 sum c e)
+    relative, apart from the rounding of exp and of the sum itself. A row
+    whose every term underflows has a NaN bound. Every path is computed
+    alone in its own products, so its bits do not depend on the others."""
+    p, n, d = x.shape
+    w = _node_weights(n)
+    b = min(n, _NODE_BLOCK)
+    sub = max(1, min(_GRAM_ELEMENTS // (b * b), _GRAM_ELEMENTS // n))
+    ratios = rates / rates[0]
+    # roundings per unit of (|y_i| + |y_j|)^2 / 2 in the exponent: 4 from
+    # the scale 1/sqrt(eps0) and 4 from the centered, scaled path (each
+    # doubled by the square), d in the norms m, d + 2 in the Gram product,
+    # and 2 in a later rate's ratio
+    gamma = (2 * d + 12) * 2.0**-53
+    sums, bounds = np.empty((p, rates.size)), np.empty((p, rates.size))
+    for lo in range(0, p, sub):
+        q = min(sub, p - lo)
+        # the rows u = [m, 1, y] and v = [1, m, y], and the columns [w, w|y|, w|y|^2]
+        ur, vr, cs = np.empty((q, d + 2, n)), np.empty((q, d + 2, n)), np.empty((q, 3, n))
+        y = ur[:, 2:]
+        y[...] = _shifted(x[lo : lo + q], k, u).transpose(0, 2, 1)
+        # a path whose |y|^2 overflows, or that is not finite, gets a NaN
+        # bound: the certificate reports it, not a warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # centered before it is scaled, like mala._Target
+            y -= y.mean(axis=2, keepdims=True)
+            y *= math.sqrt(-2.0 * rates[0])
+            sq = np.sum(y * y, axis=1)
+            np.multiply(sq, -0.5, out=ur[:, 0])
+            ur[:, 1] = vr[:, 0] = 1.0
+            vr[:, 1] = ur[:, 0]
+            vr[:, 2:] = y
+            cs[:, 0] = w
+            np.multiply(np.sqrt(sq), w, out=cs[:, 1])
+            np.multiply(sq, w, out=cs[:, 2])
+            acc = _gram_block_sums(ur, vr, cs, ratios, squares, b)
+            den = acc[:, :, 0, 0]
+            num = acc[:, :, 2, 0] + 2.0 * acc[:, :, 1, 1] + acc[:, :, 0, 2]
+            sums[lo : lo + q] = den.T
+            bounds[lo : lo + q] = (gamma * ratios[:, None] * num / (2.0 * den)).T
+    return sums, bounds
+
+
+def _gram_block_sums(
+    ur: np.ndarray, vr: np.ndarray, cs: np.ndarray, ratios: np.ndarray, squares: np.ndarray, b: int
 ) -> np.ndarray:
-    """Trapezoid sums of exp(rate * |dx + u dk|^2) over i < j, (P, n_u,
-    n_rates), for paths x (P, N, d) and direction k (N, d), in one pass
-    over the circular lag rows 1..N/2, each weighted by its pair weights.
+    """sum_(i < j) cs_i e_ij cs_j^T per rate, (n_rates, q, 3, 3), over node
+    blocks of b: the exponent e's argument is ur^T vr, each of (q, d + 2,
+    N), and cs is (q, 3, N). Column block J sums cs_I^T E_IJ over its row
+    blocks I <= J, the diagonal block first, at half weight and with a zero
+    diagonal; then one product with cs_J closes it."""
+    q, _, n = ur.shape
+    starts = range(0, n, b)
+    lefts = [ur[:, :, i : i + b].transpose(0, 2, 1) for i in starts]
+    rights = [vr[:, :, i : i + b] for i in starts]
+    cols = [cs[:, :, i : i + b] for i in starts]
+    # exponent, kernel and the kernel's diagonal per block shape: b x b, and
+    # those of the last, shorter block
+    flat, views = np.empty((2, q * b * b)), {}
+    col_sums, part = np.empty((ratios.size, q, 3, b)), np.empty((q, 3, b))
+    acc, block_acc = np.zeros((ratios.size, q, 3, 3)), np.empty((q, 3, 3))
+    for jb, right in enumerate(rights):
+        bj = right.shape[2]
+        sums_j, part_j = col_sums[..., :bj], part[..., :bj]
+        for ib in (jb, *range(jb)):
+            shape = (lefts[ib].shape[1], bj)
+            if shape not in views:
+                s, e = flat[:, : q * shape[0] * bj].reshape(2, q, *shape)
+                views[shape] = s, e, e.reshape(q, -1)[:, :: bj + 1]
+            s, e, diagonal = views[shape]
+            np.matmul(lefts[ib], right, out=s)
+            for j, rung in enumerate(_rungs(s, s, ratios, squares, e)):
+                if ib == jb:
+                    diagonal[...] = 0.0
+                    np.multiply(np.matmul(cols[ib], rung, out=sums_j[j]), 0.5, out=sums_j[j])
+                else:
+                    np.add(sums_j[j], np.matmul(cols[ib], rung, out=part_j), out=sums_j[j])
+        for j in range(ratios.size):
+            acc[j] += np.matmul(sums_j[j], cols[jb].transpose(0, 2, 1), out=block_acc)
+    return acc
+
+
+def _lag_block_sums(x: np.ndarray, rates: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """Trapezoid sums of exp(rate * |dx|^2) over i < j, (P, n_rates), for
+    paths x (P, N, d), in one pass over the circular lag rows 1..N/2, each
+    weighted by its pair weights.
 
     The chunk is laid out (d, 2N, P), the paths innermost and written twice
-    along the nodes, and k on its own as (d, 2N, 1). Circular row m,
-    z[(i + m) mod N] - z[i] for every node i, holds the pairs of lag m and
-    of lag N - m; its first term is the contiguous (N, P) slice from node
-    m, so a subtract, square or exp over a block of r rows runs r loops of
-    N P elements."""
+    along the nodes. Circular row m, x[(i + m) mod N] - x[i] for every node
+    i, holds the pairs of lag m and of lag N - m; its first term is the
+    contiguous (N, P) slice from node m, so a subtract, square or exp over
+    a block of r rows runs r loops of N P elements. The sum |dx|^2 adds the
+    components in order."""
     p, n, d = x.shape
-    acc = np.zeros((p, us.size, rates.size))
-    # the chunk and k written twice along the nodes, so that rows[c, m, i] =
-    # z[c, (i + m) mod N] for m = 0..N; padding the rows with +inf instead
-    # would send exp(-inf) down numpy's slow path. Both are C-ordered:
-    # np.concatenate would keep the path-major order of x.transpose
-    twice, k_twice = np.empty((d, 2 * n, p)), np.empty((d, 2 * n, 1))
+    acc = np.zeros((p, rates.size))
+    # the chunk written twice along the nodes, so that rows[c, m, i] =
+    # x[c, (i + m) mod N] for m = 0..N; padding the rows with +inf instead
+    # would send exp(-inf) down numpy's slow path. C-ordered: np.concatenate
+    # would keep the path-major order of x.transpose
+    twice = np.empty((d, 2 * n, p))
     twice[:, :n] = twice[:, n:] = x.transpose(2, 1, 0)
-    k_twice[:, :n, 0] = k_twice[:, n:, 0] = k.T
-    rows, k_rows = (sliding_window_view(z, n, axis=1).swapaxes(2, 3) for z in (twice, k_twice))
+    rows = sliding_window_view(twice, n, axis=1).swapaxes(2, 3)
     # node i of row m weighs the pair (i, (i + m) mod N) by w_i w_((i+m) mod N);
     # the lag-N/2 row of an even N repeats its first half, so the second gets 0
     w = _node_weights(n)
     pair_w = sliding_window_view(np.concatenate([w, w]), n)
     half = n // 2
     b = max(1, _BLOCK_ELEMENTS // (p * n))
-    buf = np.empty((4 if moved else 2, p * b * n))
+    buf = np.empty((2, p * b * n))
     for m0 in range(1, half + 1, b):
         r = min(b, half + 1 - m0)
         c = pair_w[m0 : m0 + r] * w
         if n % 2 == 0 and m0 + r > half:
             c[-1, half:] = 0.0
-        x_pair = rows[:, m0 : m0 + r], rows[:, :1]
-        k_pair = k_rows[:, m0 : m0 + r], k_rows[:, :1]
-        for i, j, e, weights in _family_terms(x_pair, k_pair, c, moved, us, rates, squares, buf):
+        # dx and then the rungs, and a
+        dx, a = buf[:, : r * n * p].reshape(2, r, n, p)
+        for j, (ahead, behind) in enumerate(zip(rows[:, m0 : m0 + r], rows[:, :1])):
+            np.subtract(ahead, behind, out=dx)
+            if j == 0:
+                np.multiply(dx, dx, out=a)
+            else:
+                np.multiply(dx, dx, out=dx)
+                np.add(a, dx, out=a)
+        for j, rung in enumerate(_rungs(np.multiply(a, rates[0], out=dx), a, rates, squares, dx)):
             # einsum, not BLAS: a threaded gemv in each kernel worker
             # oversubscribes the cores
-            acc[:, i, j] += np.einsum("rip,ri->p", e, weights)
+            acc[:, j] += np.einsum("rip,ri->p", rung, c)
     return acc
-
-
-def _family_terms(x_pair, k_pair, c: np.ndarray, moved: list, us, rates, squares, buf: np.ndarray):
-    """Yield (i, j, e, weights) for every u and rate, where e (r, N, P)
-    times weights (r, N) is c * exp(rates[j] * |dx + us[i] dk|^2), with dx
-    = ahead - behind of x_pair, (d, r, N, P) less (d, 1, N, P), dk likewise
-    of k_pair, whose paths axis has length 1, and c the pair weights.
-
-    The geometry is formed once for every u, scaled by the first rate r0:
-    a = |dx|^2 summed over the components in order, a' = r0 a and, over
-    the components named in `moved`, b' = 2 dx.(r0 dk) per path and
-    q = |dk|^2 for all paths. A u of 0, or an empty `moved`, takes the
-    rungs exp(a') and exp(rate * a), those of silt_raw_batch. A shifted u
-    takes s = a' + u b' and the rungs exp(s) and exp((rate / r0) s), and
-    moves the path-free exp(rate u^2 q) into the weights. Since a + u b >=
-    -u^2 q, the path factor stays below exp(|rate| u^2 max q); where that
-    bound passes e^_FOLD_LIMIT in the block, s = a' + u (b' + u r0 q)
-    and the weights stay c. buf has 4 rows of at least one pair block each
-    when `moved` names components, 2 otherwise."""
-    (ahead, behind), (k_ahead, k_behind) = x_pair, k_pair
-    shape = ahead.shape[1:]
-    slots = buf[:, : math.prod(shape)].reshape(-1, *shape)
-    # dx and then the rungs, a, and for a moving k, b' and a'
-    dx, a = slots[:2]
-    b, a_r = slots[2:] if moved else (None, None)
-    r0 = rates[0]
-    q = None
-    for j, (hi, lo) in enumerate(zip(ahead, behind)):
-        np.subtract(hi, lo, out=dx)
-        if j in moved:
-            # dx enters b' before it is squared in place
-            dk = k_ahead[j] - k_behind[j]
-            if q is None:
-                np.multiply(dx, 2.0 * r0 * dk, out=b)
-                q = dk * dk
-            else:
-                np.add(b, np.multiply(dx, 2.0 * r0 * dk, out=a_r), out=b)
-                q = q + dk * dk
-        if j == 0:
-            np.multiply(dx, dx, out=a)
-        else:
-            np.multiply(dx, dx, out=dx)
-            np.add(a, dx, out=a)
-    if moved:
-        np.multiply(a, r0, out=a_r)
-    # the unshifted rows first: their rungs take a, whose buffer s reuses
-    for i in [i for i, u in enumerate(us) if u == 0.0 or not moved]:
-        first = a_r if moved else np.multiply(a, r0, out=dx)
-        for j, rung in enumerate(_rungs(first, a, rates, squares, dx)):
-            yield i, j, rung, c
-    if not moved:
-        return
-    s, ratios = a, rates / r0
-    bound = np.max(-rates) * np.max(q)
-    weights = np.empty_like(c)
-    for i, u in enumerate(us):
-        if u == 0.0:
-            continue
-        folded = bound * u * u <= _FOLD_LIMIT
-        if folded:
-            np.multiply(b, u, out=s)
-        else:
-            # the path-free term joins s: a' + u (b' + u r0 q)
-            np.multiply(np.add(b, (r0 * u) * q, out=s), u, out=s)
-        np.add(s, a_r, out=s)
-        for j, rung in enumerate(_rungs(s, s, ratios, squares, dx)):
-            if folded:
-                np.exp(np.multiply(q[..., 0], rates[j] * u * u, out=weights), out=weights)
-                np.multiply(weights, c, out=weights)
-            yield i, j, rung, weights if folded else c
 
 
 def _rungs(first: np.ndarray, later: np.ndarray, ratios, squares, e: np.ndarray):
@@ -356,8 +416,7 @@ def silt_expectation(params: ModelParams, eps: float) -> float:
     """Continuum expectation int_0^T (T-u)(2 pi)^{-d/2}(eps + u^{2H})^{-d/2} du
     by adaptive quadrature."""
     import scipy.integrate
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    eps = _check_eps(eps)
     pref = (2.0 * np.pi) ** (-0.5 * params.d)
     two_h = 2.0 * params.H
     half_d = 0.5 * params.d
@@ -374,8 +433,7 @@ def silt_expectation(params: ModelParams, eps: float) -> float:
 def brownian_plane_expectation(T: float, eps: float) -> float:
     """Closed form of silt_expectation at H = 1/2, d = 2:
     (2 pi)^{-1} * ((T + eps) * ln((T + eps)/eps) - T)."""
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    eps = _check_eps(eps)
     return float(((T + eps) * np.log((T + eps) / eps) - T) / (2.0 * np.pi))
 
 
@@ -385,8 +443,7 @@ def silt_expectation_grid(params: ModelParams, grid: TimeGrid, eps: float) -> fl
 
     The weights of lag m sum to N-1-m for 1 <= m <= N-2 (two end pairs at
     weight 1/2); the single pair at lag N-1 has weight 1/4."""
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    eps = _check_eps(eps)
     w = grid.n - 1.0 - np.arange(grid.n)
     w[-1] = 0.25
     lags = np.arange(grid.n) * grid.spacing
@@ -429,8 +486,7 @@ class LadderConfig:
     levels: int = 5
 
     def __post_init__(self):
-        if self.eps0 <= 0.0:
-            raise ValueError(f"eps0 must be positive, got {self.eps0}")
+        _check_eps(self.eps0, "eps0")
         if self.levels < 4:
             raise ValueError("ladder needs at least 4 levels")
 

@@ -236,3 +236,45 @@ def test_finds_generator_constructions():
 def test_only_rng_constructs_generators():
     # every draw is keyed by (seed, index) in one place
     assert [p.name for p in SOURCES if generator_constructions(p.read_text())] == ["rng.py"]
+
+
+def eps_sign_tests(source: str) -> list[str]:
+    """Positivity tests of an eps-named value (a name with a `_`-separated
+    part starting with `eps`) against 0 (`eps <= 0.0`, `self.eps0 > 0`,
+    `0 < eps`, `np.any(density_epsilons <= 0)`). `eps < 0` and `eps >= 0`,
+    which admit 0, are another domain and are not reported."""
+
+    def names_eps(node) -> bool:
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+        return any(part.startswith("eps") for part in name.lower().split("_"))
+
+    def zero(node) -> bool:
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 0
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        for left, op, right in zip(operands, node.ops, operands[1:]):
+            if (isinstance(op, (ast.LtE, ast.Gt)) and names_eps(left) and zero(right)) or (
+                isinstance(op, (ast.Lt, ast.GtE)) and zero(left) and names_eps(right)
+            ):
+                found.append(f"line {node.lineno}")
+    return found
+
+
+def test_finds_eps_sign_tests():
+    source = (
+        "def f(eps, self, epsilons, steps):\n"
+        "    a = eps <= 0.0\n    b = self.eps0 > 0\n    c = 0.0 < eps < 1.0\n"
+        "    d = np.any(epsilons <= 0.0)\n    e = eps < 0.0\n    f = steps <= 0.0\n    g = eps <= 1.0\n"
+    )
+    assert eps_sign_tests(source) == ["line 2", "line 3", "line 4", "line 5"]
+
+
+def test_eps_is_checked_in_one_place():
+    # every eps goes through silt._check_eps, which compares a `value`: NaN
+    # fails every comparison, so an `eps <= 0` test elsewhere would let it
+    # through
+    assert {p.name: eps_sign_tests(p.read_text()) for p in SOURCES if eps_sign_tests(p.read_text())} == {}

@@ -138,8 +138,14 @@ def test_grid_expectation_is_the_pair_sum(p, eps):
     assert abs(silt_expectation_grid(p, grid, eps) - ref) <= 1e-12 * ref
 
 
+# a shift times a path value below the smallest normal double rounds at the
+# absolute step 2^-1074, which no relative bound covers: at u = v = 5e-324
+# the two sides of the cocycle are u w^T x rounded to 0 or one step
+SHIFT = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+
 @PROPERTY
-@given(p=MODELS, u=st.floats(-3.0, 3.0), v=st.floats(-3.0, 3.0))
+@given(p=MODELS, u=SHIFT, v=SHIFT)
 def test_log_density_cocycle(p, u, v):
     # log rho_{u+v}(x) = log rho_u(x - v k) + log rho_v(x)
     cov = GridCovariance(p)

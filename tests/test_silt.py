@@ -25,8 +25,11 @@ from edwardsim import (
     silt_raw_batch,
     silt_raw_shifted,
 )
-from edwardsim.silt import _FOLD_LIMIT, _assemble_ladder
-from pair_reference import pair_cache, pair_silt_and_grad
+from edwardsim.mala import _Target
+from edwardsim.silt import _GRAM_RTOL, _assemble_ladder, _gram_sums
+from pair_reference import pair_cache, pair_kernel_sum, pair_silt_and_grad
+
+NOT_POSITIVE = [float("nan"), float("inf"), float("-inf"), 0.0]
 
 
 class TestHeatKernel:
@@ -60,6 +63,28 @@ class TestHeatKernel:
         x = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 1.0]])
         v = heat_kernel(0.2, x)
         assert v[0] > v[1] > v[2] > 0.0
+
+
+class TestEpsValidation:
+    # NaN passes `eps <= 0` and inf gave 0.0 or NaN rows; every entry point
+    # that takes an eps names the value instead
+    @pytest.mark.parametrize("eps", NOT_POSITIVE, ids=["nan", "inf", "-inf", "0"])
+    def test_every_entry_point_names_the_value(self, eps, small_params, small_cov):
+        grid = small_cov.grid
+        vals = np.zeros((2, grid.n, 2))
+        calls = [
+            lambda: heat_kernel(eps, np.zeros(2)),
+            lambda: silt_raw_batch(vals, grid, [0.1, eps]),
+            lambda: silt_raw_shifted(vals, grid, np.zeros((grid.n, 2)), [0.5], [eps]),
+            lambda: silt_expectation(small_params, eps),
+            lambda: brownian_plane_expectation(1.0, eps),
+            lambda: silt_expectation_grid(small_params, grid, eps),
+            lambda: LadderConfig(eps0=eps),
+            lambda: _Target(small_params, small_cov, eps),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"finite and positive, got {eps}"):
+                call()
 
 
 class TestSiltRaw:
@@ -194,8 +219,9 @@ class TestSiltBatch:
 
     @pytest.mark.parametrize("m, n", [(4, 512), (3, 511), (300, 64), (5, 2), (5, 3), (4, 65)])
     def test_lag_blocks_match_pair_weights(self, m, n):
-        # several lag blocks with a partial last one, and a partial last
-        # path chunk, against the trapezoid pair weights summed directly;
+        # several node blocks with a partial last one (N = 511, 65), and a
+        # partial last path chunk, against the trapezoid pair weights
+        # summed directly;
         # the rows of the shifted family against the same sums on x + u k
         p = ModelParams(H=0.5, d=2, N=n, seed=11)
         cov = GridCovariance(p)
@@ -216,9 +242,9 @@ class TestSiltBatch:
     def test_memory_stays_linear_in_paths_and_grid(self):
         # the O(M N^2) pair temporaries would be hundreds of MB at N = 4096
         # (Brownian paths by cumulative sums, to skip the O(N^3) factor); 64
-        # paths are 4 MB of values, and the lag blocks stay near
-        # _BLOCK_ELEMENTS whether the family is shifted or not (one rung
-        # there: the ladder adds no buffer)
+        # paths are 4 MB of values, and the node blocks and path
+        # sub-batches stay near _GRAM_ELEMENTS whether the family is
+        # shifted or not (one rung there: the ladder adds no buffer)
         grid = make_grid(ModelParams(H=0.5, d=2, N=4096))
         steps = np.random.default_rng(2).standard_normal((64, 4095, 2)) * np.sqrt(grid.spacing)
         vals = np.concatenate([np.zeros((64, 1, 2)), np.cumsum(steps, axis=1)], axis=1)
@@ -278,21 +304,19 @@ class TestSiltShifted:
                 assert np.all(np.abs(out - ref) <= 1e-12 * np.abs(ref))
 
     def test_rows_past_the_fold_limit(self):
-        # k = t along the first component, so max |dk|^2 = 1 (the pair of
-        # the two ends); at eps 0.00625, |u| = 3 takes the bound |rate| u^2
-        # max |dk|^2 past _FOLD_LIMIT, and the lag block holding that pair
-        # adds u^2 |dk|^2 into the path argument while the others, and
-        # u = 0.5, weigh it out. 300 paths span two chunks of several
-        # blocks; the last two are -3 k and 3 k, whose rows at u = 3 and
-        # u = -3 are the constant path, where exp(rate (a + u b)) = e^720
-        # would overflow without that form
+        # k = t along the first component, so |u dk|^2 reaches 9 at |u| = 3
+        # (the pair of the two ends), and exp(rate |u dk|^2) = e^-720 there
+        # at eps 0.00625: a form that split the path factor from
+        # exp(rate u^2 |dk|^2) would overflow the first. 300 paths span two
+        # chunks; the last two are -3 k and 3 k, whose rows at u = 3 and
+        # u = -3 are the constant path, and whose rows at u = -3 and u = 3
+        # are -6 k and 6 k, where the pairs more than half of T apart
+        # underflow
         p = ModelParams(H=0.5, d=2, N=64, seed=21)
         cov = GridCovariance(p)
         k = cov.grid.points[:, None] * np.array([1.0, 0.0])
         vals = np.concatenate([sample_fbm_batch(p, 298, cov=cov), [-3.0 * k, 3.0 * k]])
         eps, us = 0.00625, [0.0, 0.5, -3.0, 3.0]
-        dk2 = np.sum((k[:, None] - k[None]) ** 2, axis=2)
-        assert 0.5 / eps * 9.0 * dk2.max() > _FOLD_LIMIT
         out = silt_raw_shifted(vals, cov.grid, k, us, [eps])
         assert np.all(np.isfinite(out))
         assert np.array_equal(out[:, 0], silt_raw_batch(vals, cov.grid, [eps]))
@@ -306,6 +330,93 @@ class TestSiltShifted:
         for k in (np.ones((64, 1)), np.ones((63, 2)), np.ones(64)):
             with pytest.raises(ValueError, match=r"\(N, d\) = \(64, 2\)"):
                 silt_raw_shifted(vals, small_cov.grid, k, [0.5], [0.1])
+
+
+class TestGramCertificate:
+    # A Gram row keeps its value only when its certified bound on the
+    # exponent's rounding is at most _GRAM_RTOL; the lag kernel sums every
+    # other row. exp, the squares of a ladder and the sums round apart from
+    # the certificate: at most 2^j 4 + 2 (32 + N / 32) + 4 units of 2^-53
+    # at rung j, below 2e-14 at the N and ladders here
+    ROUNDING = 2e-14
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("hurst", [0.05, 0.5, 0.95])
+    def test_gram_rows_lie_within_their_bound(self, hurst, d):
+        # rows of x + offset + u k along a random-walk k, each eps alone and
+        # a dyadic ladder, against the enumerated pair sum in extended
+        # precision. Every row is silt_raw_batch's on the shifted paths, a
+        # kept row is the Gram sum, and a row above the tolerance, which
+        # the lag kernel sums, agrees with the reference within 1e-12
+        kept = 0
+        for n in (2, 3, 31, 64, 257):
+            p = ModelParams(H=hurst, d=d, N=n, seed=17 * n + d)
+            cov = GridCovariance(p)
+            r = np.random.default_rng(p.seed)
+            k = np.vstack([np.zeros((1, d)), np.cumsum(r.standard_normal((n - 1, d)), axis=0) / np.sqrt(n)])
+            for offset in (0.0, 1e3):
+                vals = sample_fbm_batch(p, 2, cov=cov) + offset
+                for eps in ([1e-3], [6.25e-3], [0.1], [1.0], 0.1 * 0.5 ** np.arange(5)):
+                    rates = -0.5 / np.asarray(eps)
+                    squares = np.concatenate([[False], rates[1:] == 2.0 * rates[:-1]])
+                    factor = cov.grid.spacing**2 * (2.0 * np.pi * np.asarray(eps)) ** (-0.5 * d)
+                    out = silt_raw_shifted(vals, cov.grid, k, [0.0, 3.0, -3.0], eps)
+                    for i, u in enumerate([0.0, 3.0, -3.0]):
+                        x = vals + u * k
+                        assert np.array_equal(out[:, i], silt_raw_batch(x, cov.grid, eps))
+                        sums, bounds = _gram_sums(vals, k, u, rates, squares)
+                        for m in range(2):
+                            ref = np.array([pair_kernel_sum(x[m], e) for e in eps])
+                            if np.all(bounds[m] <= _GRAM_RTOL):
+                                kept += 1
+                                assert np.array_equal(out[m, i], sums[m] * factor)
+                                assert np.all(np.abs(sums[m] - ref) <= (bounds[m] + self.ROUNDING) * ref)
+                            else:
+                                assert np.all(np.abs(out[m, i] - ref * factor) <= 1e-12 * ref * factor)
+        assert kept > 0
+
+    def test_named_fallback_rows(self):
+        # N = 14, d = 3, H = 0.16, eps = 1.1e-3, u = 2.73: the bound of path
+        # 3 is about 8e-11, and its Gram value was 3.5e-12 off the extended
+        # reference on x86-64 with OpenBLAS; the row is the lag kernel's
+        p = ModelParams(H=0.16, d=3, N=14, seed=220)
+        cov = GridCovariance(p)
+        vals = sample_fbm_batch(p, 4, cov=cov)
+        r = np.random.default_rng(p.seed)
+        k = np.vstack([np.zeros((1, 3)), np.cumsum(r.standard_normal((13, 3)), axis=0) / np.sqrt(14)])
+        eps, u = 1.1e-3, 2.73
+        _, bounds = _gram_sums(vals, k, u, np.array([-0.5 / eps]), np.array([False]))
+        assert bounds[3, 0] > _GRAM_RTOL
+        out = silt_raw_shifted(vals, cov.grid, k, [u], [eps])[:, 0, 0]
+        ref = silt_raw_batch(vals + u * k, cov.grid, [eps])[:, 0]
+        assert out[3] == ref[3]
+        exact = cov.grid.spacing**2 * (2.0 * np.pi * eps) ** -1.5 * pair_kernel_sum(vals[3] + u * k, eps)
+        assert abs(out[3] - exact) <= 1e-12 * exact
+        # a path whose every pair term underflows: the bound is NaN, and the
+        # lag kernel's row is 0 both ways
+        far = np.arange(14.0)[:, None] * np.array([10.0, 0.0, 0.0])
+        sums, bounds = _gram_sums(far[None], k, u, np.array([-0.5 / eps]), np.array([False]))
+        assert sums[0, 0] == 0.0 and np.isnan(bounds[0, 0])
+        out = silt_raw_shifted(far[None], cov.grid, k, [u], [eps])[0, 0, 0]
+        assert out == silt_raw_batch(far[None] + u * k, cov.grid, [eps])[0, 0] == 0.0
+        # nodes 1e160 apart: |y|^2 overflows and the Gram exponent is NaN,
+        # while the lag kernel keeps the one pair at distance 0, weight 1/2
+        grid = make_grid(ModelParams(H=0.5, d=1, N=3))
+        wide = np.array([[[0.0], [0.0], [1e160]]])
+        _, bounds = _gram_sums(wide, np.zeros((3, 1)), 0.0, np.array([-0.5 / eps]), np.array([False]))
+        assert np.isnan(bounds[0, 0])
+        expect = grid.spacing**2 * (2.0 * np.pi * eps) ** -0.5 * 0.5
+        assert abs(silt_raw_batch(wide, grid, [eps])[0, 0] - expect) <= 1e-15 * expect
+
+    def test_gram_row_is_the_same_alone_and_in_a_batch(self, desk_params, desk_cov):
+        # the default ensemble: 1000 paths at N = 256, eps 0.00625, two
+        # threads; a Gram row in the fourth chunk against the path alone
+        vals = sample_fbm_batch(desk_params, 1000, cov=desk_cov)
+        eps = 0.00625
+        _, bounds = _gram_sums(vals[900:901], np.zeros((256, 2)), 0.0, np.array([-0.5 / eps]), np.array([False]))
+        assert bounds[0, 0] <= _GRAM_RTOL
+        batch = silt_raw_batch(vals, desk_cov.grid, [eps], threads=2)
+        assert batch[900, 0] == silt_raw_batch(vals[900:901], desk_cov.grid, [eps])[0, 0]
 
 
 class TestExpectation:
