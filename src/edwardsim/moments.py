@@ -23,6 +23,7 @@ scipy.special, when called; the CLI calls neither.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,13 +194,14 @@ def gaussian_moment_integral(
 
     Deterministic quadrature for d <= 2 (the angular parts reduce exactly
     to cosh and a Bessel factor); Monte Carlo with a control variate for
-    d >= 3. Requires alpha in [1/2, 1) and eps >= 0 with Sigma + eps I
-    positive definite.
+    d >= 3. Requires alpha in [1/2, 1) and a finite eps >= 0 with
+    Sigma + eps I positive definite.
     """
     if not 0.5 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [1/2, 1), got {alpha}")
-    if eps < 0.0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    # NaN fails every comparison, so `eps < 0` alone would let it through
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     a = sigma.lam + eps
     b = sigma.rho + eps
     mu = sigma.mu

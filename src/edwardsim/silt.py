@@ -36,11 +36,13 @@ row carries a certificate: gamma (r / r0) sum c e (|y_i| + |y_j|)^2 /
 (2 sum c e) bounds its relative error, from one more product of each
 kernel block with the columns [w, w |y|, w |y|^2]. A row whose bound is
 above 5e-13, or not finite (every term underflowed, or the path is not
-finite), is summed again by the difference form: the lag kernel, which
-forms |dx|^2 component by component over circular lag rows. A shifted
-row x + u k is the same computation on the paths x + u k, formed as a
-caller of silt_raw_batch forms them, so it equals silt_raw_batch(x + u k)
-to the bit; the u = 0 row is silt_raw_batch(x) itself.
+finite), is summed again in the difference form, which forms the same
+exponent from |x_i - x_j|^2, subtracting, squaring and adding component
+by component. Both forms run in one loop over the same node blocks; only
+the block's exponent differs. A shifted row x + u k is the same
+computation on the paths x + u k, formed as a caller of silt_raw_batch
+forms them, so it equals silt_raw_batch(x + u k) to the bit; the u = 0
+row is silt_raw_batch(x) itself.
 
 The eps ladder eps_j = eps0 * 2^{-j} tracks convergence of the centered
 values as eps -> 0. At H*d = 1 the limit exists in L^2 but the rate carries
@@ -49,10 +51,9 @@ flags non-convergence instead of asserting a rate. Only the quadrature
 silt_expectation imports scipy (scipy.integrate), when it is called.
 
 The kernels take their paths in fixed chunks and, given `threads` > 1, run
-the chunks on a thread pool, the package's only one. The Gram form
-computes each path in its own products and the lag kernel sums the
-failed rows of one chunk and one u together, so every result is the
-same at any thread count.
+the chunks on a thread pool, the package's only one. Both forms compute
+each path in its own products, so every result is the same at any thread
+count and a path's row is the same alone and in a batch.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .params import ModelParams, TimeGrid
 
@@ -84,22 +84,15 @@ __all__ = [
 
 # paths per kernel chunk, the unit of the thread pool
 _CHUNK_PATHS = 256
-# pair elements per lag block (rows x N x paths). A block holds at least
-# one lag row of the chunk, N x P elements: at N = P = 256 that row is
-# 65536 elements, and the block is that one row. Timed from 16384 to
-# 524288 with 256 paths, d = 2, one thread (x86-64, 2 cores): 65536 was
-# fastest or level at N = 64, 128 and 256; at N = 256, blocks of 2 to 8
-# rows ran up to 22% slower
-_BLOCK_ELEMENTS = 65_536
 # nodes per side of a Gram node block, and the pair elements of one block
 # over a path sub-batch, which also bounds its path-nodes (paths x N).
-# 1000 paths at N = 256, d = 2, one eps, one thread (same machine): 32 x
+# 1000 paths at N = 256, d = 2, one eps, one thread (x86-64, 2 cores): 32 x
 # 32 blocks of 32 paths took 56 ms, of 64 paths 64 ms, of 16 paths 69 ms;
 # 64 x 64 blocks of 16 paths took 67 ms, 16 x 16 blocks of 128 paths 76 ms
 _NODE_BLOCK = 32
 _GRAM_ELEMENTS = 32_768
 # largest certified relative error of a Gram row; a row above it, or with
-# a bound that is not finite, is summed by the lag kernel instead
+# a bound that is not finite, is summed in the difference form instead
 _GRAM_RTOL = 5e-13
 # relative floor below which eps no longer resolves the grid: eps >= 0.1 * spacing^{2H}
 EPS_FLOOR_FACTOR = 0.1
@@ -172,10 +165,11 @@ def silt_raw_batch(
     the next, as down a dyadic ladder, that rung is the previous one
     squared in place, so a ladder costs one exp per pair; a later rung
     scales the certificate by its rate over the first. A row whose bound
-    passes 5e-13 on some rung, or is not finite, is summed again by the
-    lag kernel, which visits the circular lag rows of the chunk's failed
-    paths in blocks laid out (rows, N, paths). Memory is O(M N d) plus a
-    few blocks of 32768 elements per worker.
+    passes 5e-13 on some rung, or is not finite, is summed again in the
+    difference form: the same node blocks and sub-batches, with the
+    exponent -|x_i - x_j|^2 / (2 eps0) added component by component
+    instead of the product, and the columns [w] alone. Memory is O(M N d)
+    plus a few blocks of 32768 elements per worker.
     """
     return _raw_family(values, grid, np.zeros(values.shape[1:]), [0.0], epsilons, threads)[:, 0]
 
@@ -190,8 +184,8 @@ def silt_raw_shifted(
     kernel's sub-batches as the caller of silt_raw_batch would form them:
     the Gram form on their centered, scaled nodes, y + u kappa with
     kappa = (k - mean k) / sqrt(eps0) up to rounding, certified row by
-    row, and the lag kernel on x + u k for the rows whose bound passes
-    5e-13. So every row equals silt_raw_batch(values + u k) to the
+    row, and the difference form on x + u k for the rows whose bound
+    passes 5e-13. So every row equals silt_raw_batch(values + u k) to the
     bit, the u = 0 row is silt_raw_batch(values) itself, and a row does
     not depend on the other u of its family or on the thread count.
     """
@@ -222,7 +216,7 @@ def _raw_family(
             # a NaN bound fails the test too, so it never keeps a Gram row
             redo = ~np.all(bounds <= _GRAM_RTOL, axis=1)
             if np.any(redo):
-                sums[redo] = _lag_block_sums(_shifted(x[redo], k, u), rates, squares)
+                sums[redo] = _difference_sums(_shifted(x[redo], k, u), rates, squares)
             out[lo:hi, i] = sums * factor
 
     _map_chunks(m, work, threads)
@@ -261,9 +255,8 @@ def _gram_sums(
 
         rates[0] |x_i - x_j|^2 = m_i + m_j + y_i . y_j,
 
-    one rank-(d + 2) product of the rows u = [m, 1, y] and v = [1, m, y].
-    The paths go in sub-batches of at most _GRAM_ELEMENTS // N paths and
-    _GRAM_ELEMENTS pair elements per node block (_gram_block_sums).
+    one rank-(d + 2) product of the rows u = [m, 1, y] and v = [1, m, y]
+    per node block (_node_block_sums).
 
     Rounding the exponent costs at most gamma (|y_i| + |y_j|)^2 / 2 per
     pair, gamma a dot-product error constant (Higham, Accuracy and
@@ -274,8 +267,7 @@ def _gram_sums(
     alone in its own products, so its bits do not depend on the others."""
     p, n, d = x.shape
     w = _node_weights(n)
-    b = min(n, _NODE_BLOCK)
-    sub = max(1, min(_GRAM_ELEMENTS // (b * b), _GRAM_ELEMENTS // n))
+    b, sub = _block_sizes(n)
     ratios = rates / rates[0]
     # roundings per unit of (|y_i| + |y_j|)^2 / 2 in the exponent: 4 from
     # the scale 1/sqrt(eps0) and 4 from the centered, scaled path (each
@@ -289,6 +281,8 @@ def _gram_sums(
         ur, vr, cs = np.empty((q, d + 2, n)), np.empty((q, d + 2, n)), np.empty((q, 3, n))
         y = ur[:, 2:]
         y[...] = _shifted(x[lo : lo + q], k, u).transpose(0, 2, 1)
+        lefts = [ur[:, :, i : i + b].transpose(0, 2, 1) for i in range(0, n, b)]
+        rights = [vr[:, :, i : i + b] for i in range(0, n, b)]
         # a path whose |y|^2 overflows, or that is not finite, gets a NaN
         # bound: the certificate reports it, not a warning
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -303,7 +297,9 @@ def _gram_sums(
             cs[:, 0] = w
             np.multiply(np.sqrt(sq), w, out=cs[:, 1])
             np.multiply(sq, w, out=cs[:, 2])
-            acc = _gram_block_sums(ur, vr, cs, ratios, squares, b)
+            acc = _node_block_sums(
+                lambda ib, jb, s, _: np.matmul(lefts[ib], rights[jb], out=s), cs, ratios, squares, b
+            )
             den = acc[:, :, 0, 0]
             num = acc[:, :, 2, 0] + 2.0 * acc[:, :, 1, 1] + acc[:, :, 0, 2]
             sums[lo : lo + q] = den.T
@@ -311,104 +307,94 @@ def _gram_sums(
     return sums, bounds
 
 
-def _gram_block_sums(
-    ur: np.ndarray, vr: np.ndarray, cs: np.ndarray, ratios: np.ndarray, squares: np.ndarray, b: int
+def _difference_sums(x: np.ndarray, rates: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """Trapezoid sums of exp(rate * |dx|^2) over i < j, (P, n_rates), for
+    paths x (P, N, d), from the difference form of the pair exponent:
+    rates[0] |x_i - x_j|^2 with |dx|^2 added component by component, in
+    the node blocks and path sub-batches of _gram_sums."""
+    p, n, d = x.shape
+    b, sub = _block_sizes(n)
+    ratios = rates / rates[0]
+    sums = np.empty((p, rates.size))
+    for lo in range(0, p, sub):
+        q = min(sub, p - lo)
+        xt = np.ascontiguousarray(x[lo : lo + q].transpose(0, 2, 1))
+        lefts = [xt[:, :, i : i + b, None] for i in range(0, n, b)]
+        rights = [xt[:, :, None, i : i + b] for i in range(0, n, b)]
+
+        def exponent(ib: int, jb: int, s: np.ndarray, dx: np.ndarray) -> None:
+            for c in range(d):
+                np.subtract(lefts[ib][:, c], rights[jb][:, c], out=dx)
+                if c == 0:
+                    np.multiply(dx, dx, out=s)
+                else:
+                    np.add(s, np.multiply(dx, dx, out=dx), out=s)
+            np.multiply(s, rates[0], out=s)
+
+        cs = np.tile(_node_weights(n), (q, 1, 1))
+        # an |dx|^2 that overflows gives the term exp(-inf) = 0, its value
+        with np.errstate(over="ignore"):
+            sums[lo : lo + q] = _node_block_sums(exponent, cs, ratios, squares, b)[:, :, 0, 0].T
+    return sums
+
+
+def _block_sizes(n: int) -> tuple[int, int]:
+    """The side b of a node block at N nodes, and the paths of a
+    sub-batch: a node block over the sub-batch holds at most
+    _GRAM_ELEMENTS pair elements, and the sub-batch at most
+    _GRAM_ELEMENTS path-nodes."""
+    b = min(n, _NODE_BLOCK)
+    return b, max(1, min(_GRAM_ELEMENTS // (b * b), _GRAM_ELEMENTS // n))
+
+
+def _node_block_sums(
+    exponent, cs: np.ndarray, ratios: np.ndarray, squares: np.ndarray, b: int
 ) -> np.ndarray:
-    """sum_(i < j) cs_i e_ij cs_j^T per rate, (n_rates, q, 3, 3), over node
-    blocks of b: the exponent e's argument is ur^T vr, each of (q, d + 2,
-    N), and cs is (q, 3, N). Column block J sums cs_I^T E_IJ over its row
-    blocks I <= J, the diagonal block first, at half weight and with a zero
-    diagonal; then one product with cs_J closes it."""
-    q, _, n = ur.shape
-    starts = range(0, n, b)
-    lefts = [ur[:, :, i : i + b].transpose(0, 2, 1) for i in starts]
-    rights = [vr[:, :, i : i + b] for i in starts]
-    cols = [cs[:, :, i : i + b] for i in starts]
+    """sum_(i < j) cs_i e_ij cs_j^T per rate, (n_rates, q, c, c), over node
+    blocks of b, with cs (q, c, N): exponent(I, J, s, scratch) writes the
+    first rate's exponent between node blocks number I and J to s,
+    (q, |I|, |J|), and may use scratch, of s's shape. Column block J sums
+    cs_I^T E_IJ over its row blocks I <= J, the diagonal block first, at
+    half weight and with a zero diagonal; then one product with cs_J
+    closes it."""
+    q, c, n = cs.shape
+    cols = [cs[:, :, i : i + b] for i in range(0, n, b)]
     # exponent, kernel and the kernel's diagonal per block shape: b x b, and
     # those of the last, shorter block
     flat, views = np.empty((2, q * b * b)), {}
-    col_sums, part = np.empty((ratios.size, q, 3, b)), np.empty((q, 3, b))
-    acc, block_acc = np.zeros((ratios.size, q, 3, 3)), np.empty((q, 3, 3))
-    for jb, right in enumerate(rights):
-        bj = right.shape[2]
+    col_sums, part = np.empty((ratios.size, q, c, b)), np.empty((q, c, b))
+    acc, block_acc = np.zeros((ratios.size, q, c, c)), np.empty((q, c, c))
+    for jb, col in enumerate(cols):
+        bj = col.shape[2]
         sums_j, part_j = col_sums[..., :bj], part[..., :bj]
         for ib in (jb, *range(jb)):
-            shape = (lefts[ib].shape[1], bj)
+            shape = (cols[ib].shape[2], bj)
             if shape not in views:
                 s, e = flat[:, : q * shape[0] * bj].reshape(2, q, *shape)
                 views[shape] = s, e, e.reshape(q, -1)[:, :: bj + 1]
             s, e, diagonal = views[shape]
-            np.matmul(lefts[ib], right, out=s)
-            for j, rung in enumerate(_rungs(s, s, ratios, squares, e)):
+            exponent(ib, jb, s, e)
+            for j, rung in enumerate(_rungs(s, ratios, squares, e)):
                 if ib == jb:
                     diagonal[...] = 0.0
                     np.multiply(np.matmul(cols[ib], rung, out=sums_j[j]), 0.5, out=sums_j[j])
                 else:
                     np.add(sums_j[j], np.matmul(cols[ib], rung, out=part_j), out=sums_j[j])
         for j in range(ratios.size):
-            acc[j] += np.matmul(sums_j[j], cols[jb].transpose(0, 2, 1), out=block_acc)
+            acc[j] += np.matmul(sums_j[j], col.transpose(0, 2, 1), out=block_acc)
     return acc
 
 
-def _lag_block_sums(x: np.ndarray, rates: np.ndarray, squares: np.ndarray) -> np.ndarray:
-    """Trapezoid sums of exp(rate * |dx|^2) over i < j, (P, n_rates), for
-    paths x (P, N, d), in one pass over the circular lag rows 1..N/2, each
-    weighted by its pair weights.
-
-    The chunk is laid out (d, 2N, P), the paths innermost and written twice
-    along the nodes. Circular row m, x[(i + m) mod N] - x[i] for every node
-    i, holds the pairs of lag m and of lag N - m; its first term is the
-    contiguous (N, P) slice from node m, so a subtract, square or exp over
-    a block of r rows runs r loops of N P elements. The sum |dx|^2 adds the
-    components in order."""
-    p, n, d = x.shape
-    acc = np.zeros((p, rates.size))
-    # the chunk written twice along the nodes, so that rows[c, m, i] =
-    # x[c, (i + m) mod N] for m = 0..N; padding the rows with +inf instead
-    # would send exp(-inf) down numpy's slow path. C-ordered: np.concatenate
-    # would keep the path-major order of x.transpose
-    twice = np.empty((d, 2 * n, p))
-    twice[:, :n] = twice[:, n:] = x.transpose(2, 1, 0)
-    rows = sliding_window_view(twice, n, axis=1).swapaxes(2, 3)
-    # node i of row m weighs the pair (i, (i + m) mod N) by w_i w_((i+m) mod N);
-    # the lag-N/2 row of an even N repeats its first half, so the second gets 0
-    w = _node_weights(n)
-    pair_w = sliding_window_view(np.concatenate([w, w]), n)
-    half = n // 2
-    b = max(1, _BLOCK_ELEMENTS // (p * n))
-    buf = np.empty((2, p * b * n))
-    for m0 in range(1, half + 1, b):
-        r = min(b, half + 1 - m0)
-        c = pair_w[m0 : m0 + r] * w
-        if n % 2 == 0 and m0 + r > half:
-            c[-1, half:] = 0.0
-        # dx and then the rungs, and a
-        dx, a = buf[:, : r * n * p].reshape(2, r, n, p)
-        for j, (ahead, behind) in enumerate(zip(rows[:, m0 : m0 + r], rows[:, :1])):
-            np.subtract(ahead, behind, out=dx)
-            if j == 0:
-                np.multiply(dx, dx, out=a)
-            else:
-                np.multiply(dx, dx, out=dx)
-                np.add(a, dx, out=a)
-        for j, rung in enumerate(_rungs(np.multiply(a, rates[0], out=dx), a, rates, squares, dx)):
-            # einsum, not BLAS: a threaded gemv in each kernel worker
-            # oversubscribes the cores
-            acc[:, j] += np.einsum("rip,ri->p", rung, c)
-    return acc
-
-
-def _rungs(first: np.ndarray, later: np.ndarray, ratios, squares, e: np.ndarray):
-    """Yield exp(first) and then exp(ratio * later) for each later ratio,
-    computed in the buffer e (first may be e itself); a rung flagged in
-    `squares` is the previous rung squared in place."""
-    np.exp(first, out=e)
+def _rungs(s: np.ndarray, ratios, squares, e: np.ndarray):
+    """Yield exp(ratio * s) for each ratio, computed in the buffer e; a
+    rung flagged in `squares` is the previous rung squared in place."""
+    np.exp(s, out=e)
     yield e
     for ratio, square in zip(ratios[1:], squares[1:]):
         if square:
             np.multiply(e, e, out=e)
         else:
-            np.exp(np.multiply(later, ratio, out=e), out=e)
+            np.exp(np.multiply(s, ratio, out=e), out=e)
         yield e
 
 

@@ -239,10 +239,12 @@ def test_only_rng_constructs_generators():
 
 
 def eps_sign_tests(source: str) -> list[str]:
-    """Positivity tests of an eps-named value (a name with a `_`-separated
-    part starting with `eps`) against 0 (`eps <= 0.0`, `self.eps0 > 0`,
-    `0 < eps`, `np.any(density_epsilons <= 0)`). `eps < 0` and `eps >= 0`,
-    which admit 0, are another domain and are not reported."""
+    """Sign tests of an eps-named value (a name with a `_`-separated part
+    starting with `eps`) against 0: positivity tests (`eps <= 0.0`,
+    `self.eps0 > 0`, `0 < eps`, `np.any(density_epsilons <= 0)`), which
+    belong in silt._check_eps, and the nonnegativity tests that NaN passes
+    (`eps < 0`, `0 > eps`). `eps >= 0` and `0 <= eps`, which NaN fails,
+    are not reported."""
 
     def names_eps(node) -> bool:
         name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
@@ -257,11 +259,11 @@ def eps_sign_tests(source: str) -> list[str]:
             continue
         operands = [node.left, *node.comparators]
         for left, op, right in zip(operands, node.ops, operands[1:]):
-            if (isinstance(op, (ast.LtE, ast.Gt)) and names_eps(left) and zero(right)) or (
-                isinstance(op, (ast.Lt, ast.GtE)) and zero(left) and names_eps(right)
+            if (isinstance(op, (ast.LtE, ast.Gt, ast.Lt)) and names_eps(left) and zero(right)) or (
+                isinstance(op, (ast.Lt, ast.GtE, ast.Gt)) and zero(left) and names_eps(right)
             ):
-                found.append(f"line {node.lineno}")
-    return found
+                found.append(node.lineno)
+    return [f"line {n}" for n in sorted(found)]
 
 
 def test_finds_eps_sign_tests():
@@ -269,8 +271,9 @@ def test_finds_eps_sign_tests():
         "def f(eps, self, epsilons, steps):\n"
         "    a = eps <= 0.0\n    b = self.eps0 > 0\n    c = 0.0 < eps < 1.0\n"
         "    d = np.any(epsilons <= 0.0)\n    e = eps < 0.0\n    f = steps <= 0.0\n    g = eps <= 1.0\n"
+        "    h = 0 > eps\n    i = eps >= 0.0\n    j = 0.0 <= eps\n"
     )
-    assert eps_sign_tests(source) == ["line 2", "line 3", "line 4", "line 5"]
+    assert eps_sign_tests(source) == ["line 2", "line 3", "line 4", "line 5", "line 6", "line 9"]
 
 
 def test_eps_is_checked_in_one_place():

@@ -143,6 +143,13 @@ class TestMomentIntegral:
         with pytest.raises(ValueError, match="positive definite"):
             gaussian_moment_integral(degenerate, 0.0, 0.5, 1)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf"), -1e-3])
+    def test_rejects_non_finite_or_negative_eps(self, eps):
+        # NaN passed `eps < 0` and returned NaN for both values; inf returned 0.0
+        sig = sigma_matrix(0.5, 0.0, 1.0, 0.5, 1.5)
+        with pytest.raises(ValueError, match=f"eps must be finite and nonnegative, got {eps}"):
+            gaussian_moment_integral(sig, eps, 0.5, 1)
+
 
 class TestL2Difference:
     def test_zero_at_equal_shifts(self, small_params, small_cov):

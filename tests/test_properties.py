@@ -83,8 +83,8 @@ def test_single_path_silt_equals_its_batch_row(p, m, row, eps):
     eps=EPS,
 )
 def test_shifted_family_rows(p, m, us, still, eps):
-    # N = 2 has no lag block, only the end correction; components flagged
-    # in `still` do not move, so b and c skip them
+    # N = 2 is the corner pair alone; components flagged in `still` do not
+    # move. Every row is the batch kernel on the shifted paths, to the bit
     cov = GridCovariance(p)
     values = sample_fbm_batch(p, m, cov=cov)
     r = np.random.default_rng(p.seed)
@@ -96,8 +96,7 @@ def test_shifted_family_rows(p, m, us, still, eps):
     assert np.array_equal(out[:, 0], silt_raw_batch(values, cov.grid, [eps])[:, 0])
     for i, u in enumerate(us):
         assert np.array_equal(out[:, i], silt_raw_shifted(values, cov.grid, k, [u], [eps])[:, 0, 0])
-        ref = silt_raw_batch(values + u * k, cov.grid, [eps])[:, 0]
-        assert np.all(np.abs(out[:, i] - ref) <= 1e-12 * np.abs(ref))
+        assert np.array_equal(out[:, i], silt_raw_batch(values + u * k, cov.grid, [eps])[:, 0])
 
 
 @PROPERTY

@@ -158,9 +158,9 @@ class TestSiltBatch:
 
     @pytest.mark.parametrize("m", [1, 257])
     def test_one_path_chunks_match_single_path(self, m):
-        # one path alone, and a 1-path last chunk after a full one: blocks
-        # of shape (r, N, 1), many lag rows each; against the single-path
-        # call and the enumerated pair sum
+        # one path alone, and a 1-path last chunk after a full one: node
+        # blocks over a sub-batch of one path; against the single-path call
+        # and the enumerated pair sum
         p = ModelParams(N=64, d=2, seed=9)
         cov = GridCovariance(p)
         vals = sample_fbm_batch(p, m, cov=cov)
@@ -183,7 +183,6 @@ class TestSiltBatch:
             # N = 2 is the corner pair alone at weight 1/4; N = 3 has two lags
             (2, 2, [0.1]),
             (2, 3, [0.1]),
-            # an odd N folds its lags without the half row of lag N/2;
             # (0.05, 0.02) is no dyadic step, so each rung takes its own exp
             (2, 25, [0.05, 0.02]),
         ],
@@ -219,10 +218,10 @@ class TestSiltBatch:
 
     @pytest.mark.parametrize("m, n", [(4, 512), (3, 511), (300, 64), (5, 2), (5, 3), (4, 65)])
     def test_lag_blocks_match_pair_weights(self, m, n):
-        # several node blocks with a partial last one (N = 511, 65), and a
-        # partial last path chunk, against the trapezoid pair weights
-        # summed directly;
-        # the rows of the shifted family against the same sums on x + u k
+        # the pair weights of the node blocks, several with a partial last
+        # one (N = 511, 65), and of a partial last path chunk, against the
+        # trapezoid pair weights summed directly; the rows of the shifted
+        # family against the same sums on x + u k
         p = ModelParams(H=0.5, d=2, N=n, seed=11)
         cov = GridCovariance(p)
         vals = sample_fbm_batch(p, m, cov=cov)
@@ -282,10 +281,9 @@ class TestSiltShifted:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_each_row_is_the_batch_kernel_on_the_shifted_paths(self, d):
         # 300 paths span two chunks; the first eps list is a dyadic
-        # ladder, whose rungs are squared, the second is not. The u = 0 row
-        # is the batch kernel to the bit, each row is its one-u call to the
-        # bit, and the pair geometry a + u (b + u c) rounds differently from
-        # shifting the paths, so shifted rows agree to 1e-12
+        # ladder, whose rungs are squared, the second is not. Every row is
+        # the batch kernel on the shifted paths and its one-u call, to the
+        # bit
         p = ModelParams(H=1.0 / d if d > 1 else 0.5, d=d, N=40, seed=8)
         cov = GridCovariance(p)
         vals = sample_fbm_batch(p, 300, cov=cov)
@@ -301,17 +299,15 @@ class TestSiltShifted:
                 for i, u in enumerate(us):
                     one = silt_raw_shifted(vals, cov.grid, k, [u], eps, threads=threads)
                     assert np.array_equal(out[:, i], one[:, 0])
-                assert np.all(np.abs(out - ref) <= 1e-12 * np.abs(ref))
+                assert np.array_equal(out, ref)
 
-    def test_rows_past_the_fold_limit(self):
+    def test_rows_of_large_shifts(self):
         # k = t along the first component, so |u dk|^2 reaches 9 at |u| = 3
         # (the pair of the two ends), and exp(rate |u dk|^2) = e^-720 there
-        # at eps 0.00625: a form that split the path factor from
-        # exp(rate u^2 |dk|^2) would overflow the first. 300 paths span two
-        # chunks; the last two are -3 k and 3 k, whose rows at u = 3 and
-        # u = -3 are the constant path, and whose rows at u = -3 and u = 3
-        # are -6 k and 6 k, where the pairs more than half of T apart
-        # underflow
+        # at eps 0.00625. 300 paths span two chunks; the last two are -3 k
+        # and 3 k, whose rows at u = 3 and u = -3 are the constant path, and
+        # whose rows at u = -3 and u = 3 are -6 k and 6 k, where the pairs
+        # more than half of T apart underflow
         p = ModelParams(H=0.5, d=2, N=64, seed=21)
         cov = GridCovariance(p)
         k = cov.grid.points[:, None] * np.array([1.0, 0.0])
@@ -321,8 +317,7 @@ class TestSiltShifted:
         assert np.all(np.isfinite(out))
         assert np.array_equal(out[:, 0], silt_raw_batch(vals, cov.grid, [eps]))
         for i, u in enumerate(us):
-            ref = silt_raw_batch(vals + u * k, cov.grid, [eps])
-            assert np.all(np.abs(out[:, i] - ref) <= 1e-12 * np.abs(ref))
+            assert np.array_equal(out[:, i], silt_raw_batch(vals + u * k, cov.grid, [eps]))
             assert np.array_equal(out[:, i], silt_raw_shifted(vals, cov.grid, k, [u], [eps])[:, 0])
 
     def test_rejects_misshaped_direction(self, small_cov):
@@ -334,8 +329,8 @@ class TestSiltShifted:
 
 class TestGramCertificate:
     # A Gram row keeps its value only when its certified bound on the
-    # exponent's rounding is at most _GRAM_RTOL; the lag kernel sums every
-    # other row. exp, the squares of a ladder and the sums round apart from
+    # exponent's rounding is at most _GRAM_RTOL; the difference form sums
+    # every other row. exp, the squares of a ladder and the sums round apart from
     # the certificate: at most 2^j 4 + 2 (32 + N / 32) + 4 units of 2^-53
     # at rung j, below 2e-14 at the N and ladders here
     ROUNDING = 2e-14
@@ -347,7 +342,7 @@ class TestGramCertificate:
         # a dyadic ladder, against the enumerated pair sum in extended
         # precision. Every row is silt_raw_batch's on the shifted paths, a
         # kept row is the Gram sum, and a row above the tolerance, which
-        # the lag kernel sums, agrees with the reference within 1e-12
+        # the difference form sums, agrees with the reference within 1e-12
         kept = 0
         for n in (2, 3, 31, 64, 257):
             p = ModelParams(H=hurst, d=d, N=n, seed=17 * n + d)
@@ -375,10 +370,12 @@ class TestGramCertificate:
                                 assert np.all(np.abs(out[m, i] - ref * factor) <= 1e-12 * ref * factor)
         assert kept > 0
 
+    @pytest.mark.filterwarnings("error")
     def test_named_fallback_rows(self):
         # N = 14, d = 3, H = 0.16, eps = 1.1e-3, u = 2.73: the bound of path
         # 3 is about 8e-11, and its Gram value was 3.5e-12 off the extended
-        # reference on x86-64 with OpenBLAS; the row is the lag kernel's
+        # reference on x86-64 with OpenBLAS; the row is the difference
+        # form's. Warnings are errors: no case here may print one
         p = ModelParams(H=0.16, d=3, N=14, seed=220)
         cov = GridCovariance(p)
         vals = sample_fbm_batch(p, 4, cov=cov)
@@ -393,14 +390,15 @@ class TestGramCertificate:
         exact = cov.grid.spacing**2 * (2.0 * np.pi * eps) ** -1.5 * pair_kernel_sum(vals[3] + u * k, eps)
         assert abs(out[3] - exact) <= 1e-12 * exact
         # a path whose every pair term underflows: the bound is NaN, and the
-        # lag kernel's row is 0 both ways
+        # difference form's row is 0 both ways
         far = np.arange(14.0)[:, None] * np.array([10.0, 0.0, 0.0])
         sums, bounds = _gram_sums(far[None], k, u, np.array([-0.5 / eps]), np.array([False]))
         assert sums[0, 0] == 0.0 and np.isnan(bounds[0, 0])
         out = silt_raw_shifted(far[None], cov.grid, k, [u], [eps])[0, 0, 0]
         assert out == silt_raw_batch(far[None] + u * k, cov.grid, [eps])[0, 0] == 0.0
         # nodes 1e160 apart: |y|^2 overflows and the Gram exponent is NaN,
-        # while the lag kernel keeps the one pair at distance 0, weight 1/2
+        # while the difference form keeps the one pair at distance 0, weight
+        # 1/2, and its |dx|^2 of the others overflows to a term exp(-inf) = 0
         grid = make_grid(ModelParams(H=0.5, d=1, N=3))
         wide = np.array([[[0.0], [0.0], [1e160]]])
         _, bounds = _gram_sums(wide, np.zeros((3, 1)), 0.0, np.array([-0.5 / eps]), np.array([False]))
